@@ -1,18 +1,17 @@
-// Offline-analysis parallelization + hot-path ablation (paper SIV-C /
-// Table V discussion + SVI future work).
+// Offline-analysis parallelization (paper SIV-C / Table V discussion + SVI
+// future work).
 //
 // The paper distributes tree COMPARISONS across cores but notes that "the
 // tree generation cannot be efficiently parallelized since it would require
 // the use of locks", and lists faster parallel offline algorithms as future
 // work. This reproduction parallelizes BOTH phases lock-free on a
-// persistent work-stealing checker pool, and adds two independently
-// ablatable hot-path optimizations (frozen-set sweep enumeration and
-// closed-form overlap fast paths). The bench checks that
-//   1. the race set is invariant under thread count AND under every
-//      sweep/fastpath ablation (byte-identical reports);
+// persistent work-stealing checker pool. The bench checks that
+//   1. the race set is invariant under thread count (byte-identical
+//      reports);
 //   2. the slowest-single-bucket time (the distributed MT latency bound)
 //      is much smaller than the single-node total;
-//   3. the default configuration is not slower than the fully-ablated one.
+// and reports the 4-thread sweep throughput (node pairs per second of
+// freeze + compare) for the perf-smoke floor.
 //
 // Flags: --quick (smaller sizes for CI), --json FILE (metrics for the
 // perf-smoke regression gate).
@@ -55,9 +54,9 @@ int main(int argc, char** argv) {
   const bool quick = args.GetBool("quick");
   const std::string json_path = args.GetString("json", "");
 
-  Banner("offline-analysis parallelization + hot-path ablation",
-         "race set invariant under parallelism and sweep/fastpath ablations; "
-         "per-region max (MT) << single-node total (OA)");
+  Banner("offline-analysis parallelization",
+         "race set invariant under parallelism; per-region max (MT) << "
+         "single-node total (OA)");
 
   struct Case {
     const char* suite;
@@ -69,8 +68,7 @@ int main(int argc, char** argv) {
 
   bool invariant = true;
   bool mt_much_smaller = true;
-  bool default_not_slower = true;
-  double default_pps = 0, ablated_pps = 0;
+  double default_pps = 0;
 
   for (const Case& c : cases) {
     const auto& w = Find(c.suite, c.name);
@@ -94,20 +92,26 @@ int main(int argc, char** argv) {
 
     // --- Thread sweep under the default configuration.
     TextTable table({std::string(c.name) + " analysis threads", "OA total",
-                     "build", "freeze+compare", "MT (slowest region)", "races"});
+                     "build", "freeze+compare", "MT (slowest region)", "pairs/s",
+                     "fastpath hits", "solver calls", "races"});
     std::vector<ReportTuple> reference;
     bool have_reference = false;
     for (uint32_t threads : {1u, 2u, 4u, 8u}) {
       offline::AnalysisConfig config;
       config.threads = threads;
       const auto result = offline::Analyze(store.value(), config);
+      const double pps = PairsPerSec(result.stats);
       table.AddRow({std::to_string(threads),
                     FormatSeconds(result.stats.total_seconds),
                     FormatSeconds(result.stats.build_seconds),
                     FormatSeconds(result.stats.freeze_seconds +
                                   result.stats.compare_seconds),
                     FormatSeconds(result.stats.max_bucket_seconds),
+                    std::to_string(static_cast<uint64_t>(pps)),
+                    std::to_string(result.stats.fastpath_hits),
+                    std::to_string(result.stats.solver_calls),
                     std::to_string(result.races.size())});
+      if (threads == 4) default_pps += pps;
       if (!have_reference) {
         reference = Tuples(result.races.reports());
         have_reference = true;
@@ -121,62 +125,19 @@ int main(int argc, char** argv) {
     }
     table.Print();
     std::printf("\n");
-
-    // --- Sweep/fastpath ablation grid at a fixed thread count: identical
-    // reports, and the optimized path pays off.
-    TextTable ablation({std::string(c.name) + " configuration", "freeze+compare",
-                        "pairs/s", "fastpath hits", "solver calls", "races"});
-    const struct {
-      const char* label;
-      bool use_sweep, use_fastpath;
-    } configs[] = {
-        {"default (sweep+fastpath)", true, true},
-        {"--no-sweep", false, true},
-        {"--no-fastpath", true, false},
-        {"--no-sweep --no-fastpath", false, false},
-    };
-    for (const auto& cfg : configs) {
-      offline::AnalysisConfig config;
-      config.threads = 4;
-      config.use_sweep = cfg.use_sweep;
-      config.use_fastpath = cfg.use_fastpath;
-      const auto result = offline::Analyze(store.value(), config);
-      const double pps = PairsPerSec(result.stats);
-      ablation.AddRow(
-          {cfg.label,
-           FormatSeconds(result.stats.freeze_seconds +
-                         result.stats.compare_seconds),
-           std::to_string(static_cast<uint64_t>(pps)),
-           std::to_string(result.stats.fastpath_hits),
-           std::to_string(result.stats.solver_calls),
-           std::to_string(result.races.size())});
-      if (Tuples(result.races.reports()) != reference) invariant = false;
-      if (cfg.use_sweep && cfg.use_fastpath) default_pps += pps;
-      if (!cfg.use_sweep && !cfg.use_fastpath) ablated_pps += pps;
-    }
-    ablation.Print();
-    std::printf("\n");
   }
 
-  if (default_pps < ablated_pps) default_not_slower = false;
-
-  Check(invariant,
-        "race reports byte-identical under thread count and every "
-        "sweep/fastpath ablation");
+  Check(invariant, "race reports byte-identical under thread count");
   Check(mt_much_smaller,
         "slowest single region (MT) well below single-node total (OA) - the "
         "distributed-analysis headroom of Table V");
-  Check(default_not_slower,
-        "frozen sweep + fast paths not slower than the ablated path (" +
-            FmtX(default_pps / std::max(ablated_pps, 1e-9), 2) + ")");
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\"bench\":\"ablation_offline_parallel\",\"quick\":"
         << (quick ? "true" : "false")
-        << ",\"default_pairs_per_sec\":" << default_pps
-        << ",\"ablated_pairs_per_sec\":" << ablated_pps << ",\"invariant\":"
+        << ",\"default_pairs_per_sec\":" << default_pps << ",\"invariant\":"
         << (invariant ? "true" : "false") << "}\n";
   }
-  return invariant && default_not_slower ? 0 : 1;
+  return invariant ? 0 : 1;
 }

@@ -2,94 +2,20 @@
 // (10^3..40^3). Claims: archer's memory tracks the application's footprint
 // (5-7x of touched memory) until it exceeds the node's budget and the
 // analysis dies with OOM; sword's memory stays flat at threads x 3.3 MB and
-// every size completes, including the offline analysis.
+// every size completes, including the offline analysis, which must report
+// exactly the workload's registered races at every size.
 //
-// NEW in this reproduction: the offline analyzer's summarization footprint
-// is measured the same apples-to-apples way. Each size is traced once, then
-// the SAME store is analyzed by the legacy pipeline (red-black tree build +
-// freeze) and the streaming pipeline (decoder-to-frozen build + repeated-
-// subtrace memoization), both charging an injected MemoryScope with every
-// bucket's builder/tree + frozen-set bytes. The streaming peak must stay at
-// or below the legacy peak at every size, with identical race counts.
-//
-// Flags: --quick (A/B on the two smallest sizes only), --json FILE (metrics
-// for the perf-smoke regression gate).
-#include <algorithm>
+// Flags: --json FILE (metrics for the perf-smoke regression gate).
 #include <fstream>
 
 #include "bench/bench_util.h"
 #include "common/args.h"
-#include "common/fsutil.h"
-#include "common/memtrack.h"
 
 using namespace sword;
 using namespace sword::bench;
 
-namespace {
-
-struct OfflineRow {
-  std::string workload;
-  uint64_t legacy_peak = 0;
-  uint64_t stream_peak = 0;
-  double advantage = 0;  // legacy_peak / stream_peak
-  uint64_t dedup_hits = 0;
-  bool same_races = false;
-};
-
-/// Trace `w` once, then analyze the SAME store legacy-vs-streaming with an
-/// injected MemoryScope recording each arm's per-bucket summarization
-/// high-water mark. Buckets are analyzed one at a time, so the scope's peak
-/// is the largest single bucket footprint - deterministic, no reps needed.
-OfflineRow MeasureOfflinePeak(const workloads::Workload& w) {
-  OfflineRow row;
-  row.workload = w.name;
-
-  TempDir dir("fig8-oa");
-  harness::RunConfig tc;
-  tc.tool = harness::ToolKind::kSword;
-  tc.params.threads = 8;
-  tc.run_offline = false;
-  tc.trace_dir = dir.path();
-  harness::RunWorkload(w, tc);
-
-  auto store = offline::TraceStore::OpenDir(dir.path());
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s: %s\n", w.name.c_str(),
-                 store.status().ToString().c_str());
-    return row;
-  }
-
-  MemoryScope scope("fig8-offline");
-  offline::AnalyzerEnv env;
-  env.mem = &scope;
-  offline::Analyzer analyzer(8, env);
-
-  offline::AnalysisConfig legacy;
-  legacy.use_stream = false;
-  legacy.use_dedup = false;
-  offline::AnalysisConfig streaming;
-
-  scope.ResetAll();
-  const auto lres = analyzer.Analyze(store.value(), legacy);
-  row.legacy_peak = scope.peak();
-  scope.ResetAll();
-  const auto sres = analyzer.Analyze(store.value(), streaming);
-  row.stream_peak = scope.peak();
-
-  row.advantage = row.stream_peak
-                      ? static_cast<double>(row.legacy_peak) /
-                            static_cast<double>(row.stream_peak)
-                      : 0;
-  row.dedup_hits = sres.stats.dedup_hits;
-  row.same_races = lres.races.size() == sres.races.size();
-  return row;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  const bool quick = args.GetBool("quick");
   const std::string json_path = args.GetString("json", "");
 
   Banner("Figure 8 - AMG memory and runtime vs problem size",
@@ -116,6 +42,7 @@ int main(int argc, char** argv) {
   bool grows = true;
   uint64_t prev_archer = 0;
   bool oom_at_40 = false, oom_before_40 = false;
+  bool offline_races_match = true;
   std::string rows_json;
 
   for (const char* name :
@@ -140,6 +67,9 @@ int main(int argc, char** argv) {
                   FormatSeconds(sword_run.dynamic_seconds),
                   FormatSeconds(sword_run.offline_seconds),
                   std::to_string(sword_run.races)});
+    if (sword_run.races != static_cast<uint64_t>(w.total_races)) {
+      offline_races_match = false;
+    }
 
     if (sword_run.tool_peak_bytes < kSwordBase ||
         sword_run.tool_peak_bytes > kSwordCeil) {
@@ -166,53 +96,14 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf("\n");
 
-  // Offline summarization footprint, legacy vs streaming, same store.
-  std::vector<OfflineRow> offline_rows;
-  {
-    std::vector<const char*> names = {"AMG2013_10", "AMG2013_20"};
-    if (!quick) {
-      names.push_back("AMG2013_30");
-      names.push_back("AMG2013_40");
-    }
-    for (const char* name : names) {
-      offline_rows.push_back(MeasureOfflinePeak(Find("hpc", name)));
-    }
-  }
-
-  TextTable oa({"size", "legacy OA peak", "streaming OA peak", "advantage",
-                "dedup hits", "races"});
-  double offline_peak_advantage = 0;
-  bool offline_peak_ok = true;
-  bool offline_races_match = true;
-  std::string offline_json;
-  for (const auto& r : offline_rows) {
-    oa.AddRow({r.workload, FormatBytes(r.legacy_peak),
-               FormatBytes(r.stream_peak), FmtX(r.advantage, 2),
-               std::to_string(r.dedup_hits), r.same_races ? "same" : "DIFFER"});
-    offline_peak_advantage = std::max(offline_peak_advantage, r.advantage);
-    if (r.stream_peak > r.legacy_peak || r.legacy_peak == 0) {
-      offline_peak_ok = false;
-    }
-    offline_races_match = offline_races_match && r.same_races;
-    if (!offline_json.empty()) offline_json += ",";
-    offline_json += "{\"workload\":\"" + r.workload + "\"";
-    offline_json += ",\"legacy_peak\":" + std::to_string(r.legacy_peak);
-    offline_json += ",\"stream_peak\":" + std::to_string(r.stream_peak);
-    offline_json += ",\"advantage\":" + std::to_string(r.advantage);
-    offline_json += ",\"dedup_hits\":" + std::to_string(r.dedup_hits) + "}";
-  }
-  oa.Print();
-  std::printf("\n");
-
   Check(flat,
         "sword memory inside the same size-independent envelope at every "
         "problem size (threads x ~3.3 MB + bounded pipeline buffers)");
   Check(grows, "archer memory grows with the problem size");
   Check(oom_at_40 && !oom_before_40,
         "archer OOMs exactly at the largest size under the node cap");
-  Check(offline_peak_ok && offline_races_match,
-        "streaming pipeline's summarization peak at or below the legacy "
-        "tree's at every size, identical race counts");
+  Check(offline_races_match,
+        "offline analysis reports exactly the registered races at every size");
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -221,12 +112,9 @@ int main(int argc, char** argv) {
     out << ",\"archer_grows\":" << (grows ? "true" : "false");
     out << ",\"archer_oom_at_40\":"
         << (oom_at_40 && !oom_before_40 ? "true" : "false");
-    out << ",\"offline_peak_advantage\":" << offline_peak_advantage;
-    out << ",\"offline_peak_ok\":" << (offline_peak_ok ? "true" : "false");
     out << ",\"offline_races_match\":"
         << (offline_races_match ? "true" : "false");
-    out << ",\"rows\":[" << rows_json << "]";
-    out << ",\"offline\":[" << offline_json << "]}";
+    out << ",\"rows\":[" << rows_json << "]}";
     out << "\n";
   }
   return 0;

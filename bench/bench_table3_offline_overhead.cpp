@@ -9,30 +9,18 @@
 // analysis wall clock must stay under 2% - the crash-resilience feature has
 // to be cheap enough to leave enabled in production.
 //
-// NEW in this reproduction, three streaming-pipeline sections:
-//   A/B       - each workload is traced once, then the same store is
-//               analyzed with the legacy pipeline (red-black tree build +
-//               freeze, no memoization) and the streaming pipeline
-//               (decoder-to-frozen build + repeated-subtrace memoization);
-//               the streaming path must be >= 1.5x faster on at least two
-//               workloads, with identical race counts.
-//   sweep     - a synthetic strided trace is grown 16x while the symbolic
-//               run representation keeps the analyzer's peak summarization
-//               footprint near-flat (sublinear in decompressed trace size);
-//               the same trace analyzed with per-element run expansion
-//               shows the linear growth being avoided.
-//   identity  - over the full DataRaceBench ground-truth suite, --no-stream
-//               (the legacy ablation) renders byte-identical reports.
+// Every workload's analysis must report exactly its registered races. And
+// NEW in this reproduction, a size sweep: a synthetic strided trace is grown
+// 16x while the symbolic run representation keeps the analyzer's peak
+// summarization footprint near-flat (sublinear in decompressed trace size).
 //
 // Flags: --quick (smaller sweep + fewer reps for CI), --json FILE (metrics
 // for the perf-smoke regression gate).
 #include <algorithm>
 #include <fstream>
-#include <tuple>
 
 #include "bench/bench_util.h"
 #include "common/args.h"
-#include "offline/report.h"
 #include "trace/writer.h"
 
 using namespace sword;
@@ -40,83 +28,15 @@ using namespace sword::bench;
 
 namespace {
 
-std::string PcName(uint32_t pc) { return "pc#" + std::to_string(pc); }
-
-struct AbRow {
-  std::string workload;
-  double legacy_seconds = 0;
-  double stream_seconds = 0;
-  double speedup = 0;
-  uint64_t legacy_peak = 0;
-  uint64_t stream_peak = 0;
-  uint64_t dedup_hits = 0;
-  bool same_races = false;
-};
-
-/// Trace `w` once, then analyze the SAME store with the legacy pipeline
-/// (tree build + freeze) and the streaming pipeline (decoder-to-frozen +
-/// dedup), `reps` times each on one shared checker pool; best-of-reps wall
-/// clocks cancel scheduler noise out of the ratio.
-AbRow MeasureAb(const workloads::Workload& w, offline::Analyzer& analyzer,
-                int reps) {
-  AbRow row;
-  row.workload = w.name;
-
-  TempDir dir("t3-ab");
-  harness::RunConfig tc;
-  tc.tool = harness::ToolKind::kSword;
-  tc.params.threads = 8;
-  tc.run_offline = false;
-  tc.trace_dir = dir.path();
-  harness::RunWorkload(w, tc);
-
-  auto store = offline::TraceStore::OpenDir(dir.path());
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s: %s\n", w.name.c_str(),
-                 store.status().ToString().c_str());
-    return row;
-  }
-
-  // The legacy arm is the pre-rework pipeline exactly: per-group red-black
-  // trees (writer-coalesced runs still summarize via AddRun - that was
-  // always the tree's bulk path), frozen after the build, nothing shared.
-  offline::AnalysisConfig legacy;
-  legacy.use_stream = false;
-  legacy.use_dedup = false;
-  offline::AnalysisConfig streaming;
-
-  uint64_t legacy_races = 0, stream_races = 0;
-  std::tie(row.legacy_seconds, row.stream_seconds) = BestOfInterleavedReps(
-      reps,
-      [&] {
-        const auto lres = analyzer.Analyze(store.value(), legacy);
-        row.legacy_peak = lres.stats.peak_tree_bytes;
-        legacy_races = lres.races.size();
-        return lres.stats.total_seconds;
-      },
-      [&] {
-        const auto sres = analyzer.Analyze(store.value(), streaming);
-        row.stream_peak = sres.stats.peak_tree_bytes;
-        row.dedup_hits = sres.stats.dedup_hits;
-        stream_races = sres.races.size();
-        return sres.stats.total_seconds;
-      });
-  row.speedup = row.stream_seconds > 0 ? row.legacy_seconds / row.stream_seconds
-                                       : 0;
-  row.same_races = legacy_races == stream_races;
-  return row;
-}
-
 struct SweepRow {
   uint64_t elements = 0;
   uint64_t logical_bytes = 0;  // decompressed trace size
-  uint64_t peak_symbolic = 0;  // streaming + symbolic runs
-  uint64_t peak_expanded = 0;  // same trace, runs expanded per element
+  uint64_t peak_symbolic = 0;  // analyzer peak summarization footprint
 };
 
 /// Write a two-thread strided trace of `elements` accesses per thread (v3,
 /// coalesced into kAccessRun events) and report the analyzer's peak
-/// summarization footprint with and without the symbolic representation.
+/// summarization footprint.
 SweepRow MeasureSweepPoint(offline::Analyzer& analyzer, uint64_t elements) {
   SweepRow row;
   row.elements = elements;
@@ -153,13 +73,7 @@ SweepRow MeasureSweepPoint(offline::Analyzer& analyzer, uint64_t elements) {
     row.logical_bytes += thread.log->total_logical_bytes();
   }
 
-  offline::AnalysisConfig symbolic;
-  offline::AnalysisConfig expanded;
-  expanded.use_symbolic = false;
-  row.peak_symbolic =
-      analyzer.Analyze(store.value(), symbolic).stats.peak_tree_bytes;
-  row.peak_expanded =
-      analyzer.Analyze(store.value(), expanded).stats.peak_tree_bytes;
+  row.peak_symbolic = analyzer.Analyze(store.value()).stats.peak_tree_bytes;
   return row;
 }
 
@@ -172,13 +86,14 @@ int main(int argc, char** argv) {
 
   Banner("Table III - OmpSCR offline analysis overheads",
          "offline analysis: sub-minute single-node (OA); per-region max (MT) "
-         "in the milliseconds-to-seconds range; the streaming pipeline beats "
-         "the legacy tree build with identical races");
+         "in the milliseconds-to-seconds range; symbolic runs keep the "
+         "summarization peak sublinear in trace size");
 
   TextTable table({"benchmark", "archer dyn", "sword dyn", "sword OA", "sword MT",
-                   "journal ovh", "intervals", "log size"});
+                   "journal ovh", "intervals", "log size", "races"});
 
   bool oa_bounded = true;
+  bool races_match = true;
   double worst_oa = 0;
   double journal_seconds_total = 0;
   double journaled_analysis_seconds_total = 0;
@@ -211,7 +126,12 @@ int main(int argc, char** argv) {
                   FormatSeconds(sword_run.offline_seconds),
                   FormatSeconds(sword_run.offline_max_bucket), pct,
                   std::to_string(sword_run.analysis.intervals),
-                  FormatBytes(sword_run.log_bytes_on_disk)});
+                  FormatBytes(sword_run.log_bytes_on_disk),
+                  std::to_string(sword_run.races)});
+    if (sword_run.races != static_cast<uint64_t>(w->total_races) ||
+        journal_run.races != sword_run.races) {
+      races_match = false;
+    }
     worst_oa = std::max(worst_oa, sword_run.offline_seconds);
     if (sword_run.offline_seconds > 60.0) oa_bounded = false;
     journal_seconds_total += journal_run.analysis.journal_seconds;
@@ -226,63 +146,14 @@ int main(int argc, char** argv) {
                  std::to_string(journal_run.analysis.journal_bytes);
     rows_json += ",\"journal_pct\":" + std::to_string(journal_pct);
     rows_json += ",\"buckets\":" + std::to_string(journal_run.analysis.buckets);
+    rows_json += ",\"races\":" + std::to_string(sword_run.races);
     rows_json += "}";
   }
 
   table.Print();
   std::printf("\n");
 
-  // --- Streaming vs legacy A/B on shared stores. HPC workloads join the
-  // OmpSCR kernels here: their bigger, more repetitive traces are what the
-  // streaming build and the memoization were built for.
   offline::Analyzer analyzer(8);
-  const int reps = quick ? 3 : 5;
-  std::vector<AbRow> ab;
-  for (const auto* w : workloads::WorkloadRegistry::Get().BySuite("ompscr")) {
-    ab.push_back(MeasureAb(*w, analyzer, reps));
-  }
-  for (const char* name : {"LULESH", "HPCCG", "miniFE"}) {
-    ab.push_back(MeasureAb(Find("hpc", name), analyzer, reps));
-  }
-
-  TextTable ab_table({"benchmark", "legacy OA", "streaming OA", "speedup",
-                      "legacy peak", "stream peak", "dedup hits", "races"});
-  bool races_match = true;
-  std::vector<double> speedups;
-  std::string ab_json;
-  for (const AbRow& r : ab) {
-    ab_table.AddRow({r.workload, FormatSeconds(r.legacy_seconds),
-                     FormatSeconds(r.stream_seconds), FmtX(r.speedup, 2),
-                     FormatBytes(r.legacy_peak), FormatBytes(r.stream_peak),
-                     std::to_string(r.dedup_hits),
-                     r.same_races ? "same" : "DIFFER"});
-    races_match = races_match && r.same_races;
-    speedups.push_back(r.speedup);
-    if (!ab_json.empty()) ab_json += ",";
-    ab_json += "{\"workload\":\"" + r.workload + "\"";
-    ab_json += ",\"legacy_seconds\":" + std::to_string(r.legacy_seconds);
-    ab_json += ",\"stream_seconds\":" + std::to_string(r.stream_seconds);
-    ab_json += ",\"speedup\":" + std::to_string(r.speedup);
-    ab_json += ",\"legacy_peak\":" + std::to_string(r.legacy_peak);
-    ab_json += ",\"stream_peak\":" + std::to_string(r.stream_peak);
-    ab_json += ",\"dedup_hits\":" + std::to_string(r.dedup_hits) + "}";
-  }
-  ab_table.Print();
-  std::printf("\n");
-
-  std::sort(speedups.begin(), speedups.end(), std::greater<double>());
-  const double second_best = speedups.size() > 1 ? speedups[1] : 0;
-  // The peak-footprint advantage on the workload where the streaming build
-  // helps most: losing the flat-arena representation outright drops this
-  // to ~1 even when timings stay noisy.
-  double peak_advantage = 0;
-  for (const AbRow& r : ab) {
-    if (r.stream_peak > 0) {
-      peak_advantage = std::max(
-          peak_advantage, static_cast<double>(r.legacy_peak) /
-                              static_cast<double>(r.stream_peak));
-    }
-  }
 
   // --- Symbolic-run size sweep: decompressed trace grows 16x.
   const uint64_t base_elems = quick ? 16 * 1024 : 64 * 1024;
@@ -290,25 +161,21 @@ int main(int argc, char** argv) {
   for (const uint64_t n : {base_elems, base_elems * 4, base_elems * 16}) {
     sweep.push_back(MeasureSweepPoint(analyzer, n));
   }
-  TextTable sweep_table({"elements/thread", "trace bytes", "peak (symbolic)",
-                         "peak (expanded)"});
+  TextTable sweep_table({"elements/thread", "trace bytes", "analysis peak"});
   std::string sweep_json;
   for (const SweepRow& r : sweep) {
     sweep_table.AddRow({std::to_string(r.elements), FormatBytes(r.logical_bytes),
-                        FormatBytes(r.peak_symbolic),
-                        FormatBytes(r.peak_expanded)});
+                        FormatBytes(r.peak_symbolic)});
     if (!sweep_json.empty()) sweep_json += ",";
     sweep_json += "{\"elements\":" + std::to_string(r.elements);
     sweep_json += ",\"logical_bytes\":" + std::to_string(r.logical_bytes);
-    sweep_json += ",\"peak_symbolic\":" + std::to_string(r.peak_symbolic);
-    sweep_json += ",\"peak_expanded\":" + std::to_string(r.peak_expanded) + "}";
+    sweep_json += ",\"peak_symbolic\":" + std::to_string(r.peak_symbolic) + "}";
   }
   sweep_table.Print();
   std::printf("\n");
 
   // Sublinear: the trace grew 16x; the symbolic peak must grow by less than
-  // 2x (in practice it is flat - a handful of run nodes regardless of N),
-  // while the expanded peak of the LARGEST trace shows what was avoided.
+  // 2x (in practice it is flat - a handful of run nodes regardless of N).
   const bool sweep_valid = sweep.front().peak_symbolic > 0 &&
                            sweep.back().logical_bytes >
                                4 * sweep.front().logical_bytes;
@@ -317,35 +184,6 @@ int main(int argc, char** argv) {
                         static_cast<double>(sweep.front().peak_symbolic)
                   : 1e30;
   const bool sublinear_ok = sweep_valid && sweep_growth < 2.0;
-
-  // --- Full-DRB identity: --no-stream must render byte-identically.
-  bool identity_ok = true;
-  for (const auto* w : workloads::WorkloadRegistry::Get().BySuite("drb")) {
-    TempDir dir("t3-ident");
-    harness::RunConfig tc;
-    tc.tool = harness::ToolKind::kSword;
-    tc.params.threads = 8;
-    tc.run_offline = false;
-    tc.trace_dir = dir.path();
-    harness::RunWorkload(*w, tc);
-    auto store = offline::TraceStore::OpenDir(dir.path());
-    if (!store.ok()) {
-      identity_ok = false;
-      continue;
-    }
-    offline::AnalysisConfig legacy;
-    legacy.use_stream = false;
-    legacy.use_symbolic = false;
-    legacy.use_dedup = false;
-    const std::string legacy_text =
-        offline::RenderText(analyzer.Analyze(store.value(), legacy), PcName);
-    const std::string stream_text =
-        offline::RenderText(analyzer.Analyze(store.value(), {}), PcName);
-    if (legacy_text != stream_text) {
-      std::fprintf(stderr, "identity MISMATCH on %s\n", w->name.c_str());
-      identity_ok = false;
-    }
-  }
 
   Check(oa_bounded, "single-node offline analysis under a minute per benchmark "
                     "(worst: " + FormatSeconds(worst_oa) + ")");
@@ -360,31 +198,21 @@ int main(int argc, char** argv) {
   std::snprintf(agg, sizeof(agg), "%.2f%%", suite_pct);
   Check(suite_pct < 2.0, "per-bucket checkpoint journal costs < 2% of analysis "
                          "wall clock across the suite (" + std::string(agg) + ")");
-  Check(second_best >= 1.5,
-        "streaming pipeline >= 1.5x faster than the legacy tree build on at "
-        "least two workloads (second-best: " + FmtX(second_best, 2) + ")");
-  Check(races_match, "streaming and legacy report identical race counts on "
-                     "every A/B workload");
+  Check(races_match, "every OmpSCR analysis (plain and journaled) reports "
+                     "exactly the registered races");
   char growth[32];
   std::snprintf(growth, sizeof(growth), "%.2fx", sweep_growth);
   Check(sublinear_ok,
         "symbolic peak footprint sublinear in trace size (16x trace -> " +
             std::string(growth) + " peak)");
-  Check(identity_ok, "--no-stream renders byte-identical reports across the "
-                     "full DataRaceBench suite");
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\"bench\":\"table3_offline_overhead\""
-        << ",\"speedup_second_best_x100\":"
-        << static_cast<int>(second_best * 100)
-        << ",\"peak_tree_advantage\":" << peak_advantage
         << ",\"sweep_peak_growth\":" << (sweep_valid ? sweep_growth : -1)
         << ",\"sublinear_ok\":" << (sublinear_ok ? "true" : "false")
-        << ",\"stream_identity_ok\":" << (identity_ok ? "true" : "false")
         << ",\"races_match\":" << (races_match ? "true" : "false")
         << ",\"journal_suite_pct\":" << suite_pct
-        << ",\"ab\":[" << ab_json << "]"
         << ",\"sweep\":[" << sweep_json << "]"
         << ",\"rows\":[" << rows_json << "]}\n";
   }

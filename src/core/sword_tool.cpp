@@ -150,26 +150,29 @@ SwordTool::ThreadState& SwordTool::State() {
   }
   auto state = std::make_unique<ThreadState>();
   ThreadState* raw = state.get();
-  uint32_t tid;
   {
+    // The state is published fully built: the aggregators and Finalize()
+    // walk states_ under this lock and dereference every writer, so the
+    // writer must exist before the push. Registration is once per thread,
+    // so building it under the lock costs nothing on the hot path.
     std::lock_guard lock(states_mutex_);
-    tid = static_cast<uint32_t>(states_.size());
+    const auto tid = static_cast<uint32_t>(states_.size());
+    trace::WriterConfig wc;
+    wc.log_path = config_.out_dir + "/sword_t" + std::to_string(tid) + ".log";
+    wc.meta_path = config_.out_dir + "/sword_t" + std::to_string(tid) + ".meta";
+    wc.buffer_bytes = config_.buffer_bytes;
+    wc.codec = FindCompressor(config_.codec);
+    wc.flusher = &flusher_;
+    wc.format = config_.trace_format;
+    wc.access_filter = config_.access_filter;
+    wc.coalesce = config_.coalesce;
+    wc.meta_checkpoint_interval = config_.meta_checkpoint_interval;
+    wc.backend = config_.backend;
+    wc.governor = governor_.get();
+    wc.crash_seal = config_.crash_seal;
+    raw->writer = std::make_unique<trace::ThreadTraceWriter>(tid, wc);
     states_.push_back(std::move(state));
   }
-  trace::WriterConfig wc;
-  wc.log_path = config_.out_dir + "/sword_t" + std::to_string(tid) + ".log";
-  wc.meta_path = config_.out_dir + "/sword_t" + std::to_string(tid) + ".meta";
-  wc.buffer_bytes = config_.buffer_bytes;
-  wc.codec = FindCompressor(config_.codec);
-  wc.flusher = &flusher_;
-  wc.format = config_.trace_format;
-  wc.access_filter = config_.access_filter;
-  wc.coalesce = config_.coalesce;
-  wc.meta_checkpoint_interval = config_.meta_checkpoint_interval;
-  wc.backend = config_.backend;
-  wc.governor = governor_.get();
-  wc.crash_seal = config_.crash_seal;
-  raw->writer = std::make_unique<trace::ThreadTraceWriter>(tid, wc);
   // The modeled fixed auxiliary overhead (OMPT + thread-local state).
   (void)memory_.Charge(kAuxBytesPerThread);
 

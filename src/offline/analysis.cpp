@@ -14,7 +14,6 @@
 #include <unordered_map>
 
 #include "itree/frozen_set.h"
-#include "itree/interval_tree.h"
 #include "itree/mutexset.h"
 #include "itree/streaming_builder.h"
 #include "offline/checker_pool.h"
@@ -55,14 +54,10 @@ struct Group {
   uint32_t thread_idx;
   osl::Label label;
   std::vector<const trace::IntervalMeta*> segments;
-  /// Legacy summarizer (use_stream off): the red-black interval tree.
-  itree::IntervalTree tree;
-  /// Streaming summarizer (use_stream on): flat creation-order store with
-  /// sorted-append + spill; Freeze() emits the frozen set directly, the tree
-  /// above stays empty and is never touched.
+  /// The summarizer: flat creation-order store with sorted-append + spill;
+  /// Freeze() emits the frozen set directly.
   itree::StreamingSetBuilder builder;
-  /// Canonical-decoded-stream identity, folded during the build when
-  /// use_dedup is on (zero-state otherwise).
+  /// Canonical-decoded-stream identity, folded during the build.
   SegmentFingerprint fingerprint;
   /// The group's immutable comparison form, built once after the summarizer
   /// closes (only for groups that appear in a concurrent pair). Comparisons
@@ -70,16 +65,9 @@ struct Group {
   itree::FrozenIntervalSet frozen;
   /// What the checkers actually read: `&frozen` for groups that froze their
   /// own summarizer, a fingerprint-equal leader's `&frozen` for dedup
-  /// followers, null for groups only tree-backend pairs touch.
+  /// followers, null for groups in no concurrent pair.
   const itree::FrozenIntervalSet* frozen_view = nullptr;
   bool freeze_marked = false;
-
-  uint64_t SummaryNodes(bool stream) const {
-    return stream ? builder.NodeCount() : tree.NodeCount();
-  }
-  uint64_t SummaryBytes(bool stream) const {
-    return stream ? builder.MemoryBytes() : tree.MemoryBytes();
-  }
 };
 
 /// Full-identity key: two reports with equal keys are indistinguishable, so
@@ -187,19 +175,18 @@ void ApplyBucketRecord(const JournalBucketRecord& rec, AnalysisStats& stats) {
   }
 }
 
-/// Streams one segment's events into the group's summarizer - the streaming
-/// builder (use_stream) or the legacy tree - recovering the lockset from
-/// mutex events (paper: "synchronization recovery"). `cache` avoids
-/// re-decompressing a frame shared by many small segments. With use_dedup,
-/// the group's fingerprint folds the segment's canonical decoded stream as a
+/// Streams one segment's events into the group's builder, recovering the
+/// lockset from mutex events (paper: "synchronization recovery"). `cache`
+/// avoids re-decompressing a frame shared by many small segments. The
+/// group's fingerprint folds the segment's canonical decoded stream as a
 /// side effect of the same pass.
 Status BuildSegment(const TraceStore& store, Group& group,
                     const trace::IntervalMeta& meta, itree::MutexSetTable& mutexes,
-                    const AnalysisConfig& config, AnalysisStats& stats,
-                    trace::FrameCache* cache, trace::DecodeCursor* cursor) {
+                    AnalysisStats& stats, trace::FrameCache* cache,
+                    trace::DecodeCursor* cursor) {
   std::vector<itree::MutexId> initial(meta.lockset.begin(), meta.lockset.end());
   itree::MutexSetId cur = mutexes.Intern(std::move(initial));
-  if (config.use_dedup) group.fingerprint.BeginSegment(meta.lockset);
+  group.fingerprint.BeginSegment(meta.lockset);
 
   const auto& thread = store.threads()[group.thread_idx];
   uint64_t events = 0;
@@ -208,7 +195,7 @@ Status BuildSegment(const TraceStore& store, Group& group,
       meta.data_begin, meta.data_size,
       [&](const trace::RawEvent& e) {
         events++;
-        if (config.use_dedup) group.fingerprint.MixEvent(e);
+        group.fingerprint.MixEvent(e);
         switch (e.kind) {
           case trace::EventKind::kMutexAcquire:
             cur = mutexes.WithMutex(cur, static_cast<itree::MutexId>(e.addr));
@@ -222,11 +209,7 @@ Status BuildSegment(const TraceStore& store, Group& group,
             key.flags = e.flags;
             key.size = e.size;
             key.mutexset = cur;
-            if (config.use_stream) {
-              group.builder.AddAccess(e.addr, key);
-            } else {
-              group.tree.AddAccess(e.addr, key);
-            }
+            group.builder.AddAccess(e.addr, key);
             break;
           }
           case trace::EventKind::kAccessRun: {
@@ -235,28 +218,10 @@ Status BuildSegment(const TraceStore& store, Group& group,
             key.flags = e.flags;
             key.size = e.size;
             key.mutexset = cur;
-            if (config.use_symbolic) {
-              // A writer-coalesced strided run materializes directly as a
-              // symbolic strided interval - no per-element expansion
-              // (AddRun's bulk path), but replay-identical to one.
-              if (config.use_stream) {
-                group.builder.AddRun(e.addr, e.stride, e.count, key);
-              } else {
-                group.tree.AddRun(e.addr, e.stride, e.count, key);
-              }
-            } else {
-              // Ablation (--no-symbolic): expand the run element by element.
-              // AddRun is DEFINED as this loop (its bulk path is a proven
-              // optimization), so output is byte-identical either way.
-              for (uint64_t i = 0; i < e.count; i++) {
-                const uint64_t addr = e.addr + i * e.stride;
-                if (config.use_stream) {
-                  group.builder.AddAccess(addr, key);
-                } else {
-                  group.tree.AddAccess(addr, key);
-                }
-              }
-            }
+            // A writer-coalesced strided run materializes directly as a
+            // symbolic strided interval - no per-element expansion
+            // (AddRun's bulk path), but replay-identical to one.
+            group.builder.AddRun(e.addr, e.stride, e.count, key);
             break;
           }
         }
@@ -302,17 +267,12 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
   const bool salvage = store.integrity().salvaged;
 
   // --- Checkpoint/resume plumbing. The header binds the journal to this
-  // exact run: shard key, every result-affecting knob, and a fingerprint of
-  // the trace. Resume against anything else is refused outright.
+  // exact run: shard key, every result-affecting setting, and a fingerprint
+  // of the trace. Resume against anything else is refused outright.
   JournalHeader journal_header;
   journal_header.shard_index = config.shard_index;
   journal_header.shard_count = config.shard_count;
   journal_header.engine = static_cast<uint8_t>(config.engine);
-  journal_header.use_sweep = config.use_sweep ? 1 : 0;
-  journal_header.use_fastpath = config.use_fastpath ? 1 : 0;
-  journal_header.use_stream = config.use_stream ? 1 : 0;
-  journal_header.use_symbolic = config.use_symbolic ? 1 : 0;
-  journal_header.use_dedup = config.use_dedup ? 1 : 0;
   journal_header.salvage = salvage ? 1 : 0;
   journal_header.solver_step_budget = config.solver_step_budget;
   journal_header.bucket_deadline_ms = config.bucket_deadline_ms;
@@ -332,7 +292,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       }
       if (!(loaded.value().header == journal_header)) {
         result.status = Status::Invalid(
-            "journal does not match this run (shard, analysis knobs, or "
+            "journal does not match this run (shard, analysis settings, or "
             "trace changed): " + config.journal_path);
         return result;
       }
@@ -394,17 +354,14 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
   // reuse the decompression. One bounded LRU cache per builder worker -
   // entries are keyed by (log reader, frame), so a single cache serves every
   // trace thread the worker touches while its byte cap keeps a long analysis
-  // from retaining every frame it ever decompressed. Groups are assigned to
-  // workers by a stable modulo so the same lane's frames keep hitting the
-  // same worker's cache bucket after bucket.
+  // from retaining every frame it ever decompressed.
   std::vector<trace::FrameCache> worker_caches(threads_);
-  // Streaming-build decode cursors, one per (worker, log reader), persisted
-  // across buckets like the frame caches. Buckets iterate in root-offset
-  // order - chronological, hence log order - and each group's segments are
-  // log-ordered too, so in stream mode the decoder almost always RESUMES
-  // where the previous segment stopped instead of re-decoding the frame's
-  // delta-coded prefix (quadratic when many small segments share a frame).
-  // The legacy arm (--no-stream) keeps the per-segment decode it always had.
+  // Decode cursors, one per (worker, log reader), persisted across buckets
+  // like the frame caches. Buckets iterate in root-offset order -
+  // chronological, hence log order - and each group's segments are
+  // log-ordered too, so the decoder almost always RESUMES where the previous
+  // segment stopped instead of re-decoding the frame's delta-coded prefix
+  // (quadratic when many small segments share a frame).
   std::vector<std::unordered_map<const void*, trace::DecodeCursor>>
       worker_cursors(threads_);
 
@@ -420,8 +377,6 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
   if (config.bucket_deadline_ms > 0) {
     watchdog = std::make_unique<BucketWatchdog>(config.bucket_deadline_ms);
   }
-
-  const bool stream = config.use_stream;
 
   uint64_t bucket_ordinal = ~0ULL;
   for (auto& [root_offset, segments] : buckets) {
@@ -452,7 +407,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     rec.ordinal = bucket_ordinal;
     AnalysisStats bucket_stats;  // this bucket's additive deltas only
 
-    // --- 3: group by (thread, label); stream logs into per-group trees.
+    // --- 3: group by (thread, label); stream logs into per-group builders.
     EnvTimer build_timer(env_.now_ns);
     std::map<std::pair<uint32_t, std::string>, std::unique_ptr<Group>> group_map;
     for (auto& [thread_idx, meta] : segments) {
@@ -469,16 +424,16 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     groups.reserve(group_map.size());
     for (auto& [key, group] : group_map) groups.push_back(group.get());
 
-    // Tree construction parallelizes per GROUP without locks: each
-    // (thread, label) tree is private to its builder, log readers are
-    // stateless, and the mutex-set table is thread-safe. (The paper calls
-    // this out as future work - "the tree generation cannot be efficiently
-    // parallelized since it would require the use of locks" - which the
-    // per-group decomposition sidesteps.)
+    // The build parallelizes per GROUP without locks: each (thread, label)
+    // builder is private to its worker, log readers are stateless, and the
+    // mutex-set table is thread-safe. (The paper calls this out as future
+    // work - "the tree generation cannot be efficiently parallelized since
+    // it would require the use of locks" - which the per-group
+    // decomposition sidesteps.)
     //
     // The memory governor runs synchronously inside the build: workers sum
-    // the bytes of CLOSED trees into one atomic and add their own group's
-    // live footprint per segment, so the cap is enforced while the trees
+    // the bytes of CLOSED builders into one atomic and add their own group's
+    // live footprint per segment, so the cap is enforced while the builders
     // grow, not after the damage is done.
     std::atomic<uint64_t> bucket_segments{0};
     std::atomic<uint64_t> bucket_segment_failures{0};
@@ -492,21 +447,20 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
                              std::unordered_map<const void*, trace::DecodeCursor>*
                                  cursors) {
         trace::DecodeCursor* cursor =
-            stream ? &(*cursors)[store.threads()[group->thread_idx].log.get()]
-                   : nullptr;
+            &(*cursors)[store.threads()[group->thread_idx].log.get()];
         // Small segments sharing a frame decode it once, not once per
         // segment, courtesy of the worker's LRU frame cache. A segment that
         // fails to stream poisons only itself in salvage mode (the group's
-        // tree keeps every segment that did stream); a strict store aborts
-        // the whole analysis, as before.
+        // builder keeps every segment that did stream); a strict store
+        // aborts the whole analysis, as before.
         for (const trace::IntervalMeta* meta : group->segments) {
           if (memory_capped.load(std::memory_order_relaxed) ||
               (watchdog && watchdog->breached())) {
-            return;  // governed bucket: stop feeding the trees
+            return;  // governed bucket: stop feeding the builders
           }
           bucket_segments.fetch_add(1, std::memory_order_relaxed);
-          const Status s = BuildSegment(store, *group, *meta, mutexes, config,
-                                        *stats, cache, cursor);
+          const Status s =
+              BuildSegment(store, *group, *meta, mutexes, *stats, cache, cursor);
           if (!s.ok()) {
             std::lock_guard lock(status_mutex);
             if (result.first_error.ok()) result.first_error = s;
@@ -519,33 +473,31 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
           }
           if (config.max_tree_bytes > 0 &&
               closed_tree_bytes.load(std::memory_order_relaxed) +
-                      group->SummaryBytes(stream) >
+                      group->builder.MemoryBytes() >
                   config.max_tree_bytes) {
             memory_capped.store(true, std::memory_order_relaxed);
             return;
           }
         }
-        closed_tree_bytes.fetch_add(group->SummaryBytes(stream),
+        closed_tree_bytes.fetch_add(group->builder.MemoryBytes(),
                                     std::memory_order_relaxed);
         stats->trees_built++;
-        stats->tree_nodes += group->SummaryNodes(stream);
+        stats->tree_nodes += group->builder.NodeCount();
       };
 
       // Dispatch order for the build only (pair enumeration keeps the
-      // deterministic `groups` order): in stream mode groups are walked in
-      // (thread, log-position) order so each worker's decode cursor moves
-      // forward through its logs instead of ping-ponging between labels.
+      // deterministic `groups` order): groups are walked in (thread,
+      // log-position) order so each worker's decode cursor moves forward
+      // through its logs instead of ping-ponging between labels.
       std::vector<Group*> build_order = groups;
-      if (stream) {
-        std::sort(build_order.begin(), build_order.end(),
-                  [](const Group* a, const Group* b) {
-                    if (a->thread_idx != b->thread_idx) {
-                      return a->thread_idx < b->thread_idx;
-                    }
-                    return a->segments.front()->data_begin <
-                           b->segments.front()->data_begin;
-                  });
-      }
+      std::sort(build_order.begin(), build_order.end(),
+                [](const Group* a, const Group* b) {
+                  if (a->thread_idx != b->thread_idx) {
+                    return a->thread_idx < b->thread_idx;
+                  }
+                  return a->segments.front()->data_begin <
+                         b->segments.front()->data_begin;
+                });
 
       if (!pool || groups.size() < 2) {
         for (Group* group : build_order) {
@@ -554,14 +506,11 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
           if (!result.status.ok()) break;
         }
       } else {
-        // Legacy: block size 1 deals group k to worker k % workers - the
-        // stable modulo assignment that keeps each lane's frames hitting the
-        // same worker's cache bucket after bucket; stealing only kicks in
-        // when a worker runs dry. Stream mode deals CONTIGUOUS log spans
-        // instead, so each worker's cursor chains across its whole block.
+        // Workers are dealt CONTIGUOUS log spans, so each worker's cursor
+        // chains across its whole block; stealing only kicks in when a
+        // worker runs dry.
         const size_t block =
-            stream ? (build_order.size() + pool->workers() - 1) / pool->workers()
-                   : 1;
+            (build_order.size() + pool->workers() - 1) / pool->workers();
         std::vector<AnalysisStats> stats(pool->workers());
         pool->ParallelFor(build_order.size(), block, [&](size_t k, uint32_t w) {
           build_group(build_order[k], &stats[w], &worker_caches[w],
@@ -583,13 +532,13 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     }
     result.stats.build_seconds += build_timer.ElapsedSeconds();
 
-    // The bucket's full tree footprint: closed trees plus any group a
+    // The bucket's full build footprint: closed builders plus any group a
     // governor abort left open (its bytes are real, and the peak should
     // reflect what the governor actually saw).
     uint64_t bucket_tree_bytes = closed_tree_bytes.load();
     if (memory_capped.load() || (watchdog && watchdog->breached())) {
       bucket_tree_bytes = 0;
-      for (Group* group : groups) bucket_tree_bytes += group->SummaryBytes(stream);
+      for (Group* group : groups) bucket_tree_bytes += group->builder.MemoryBytes();
     }
     rec.tree_bytes = bucket_tree_bytes;
 
@@ -602,9 +551,9 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     if (bucket_skipped) {
       rec.flags |= JournalBucketRecord::kBucketSkipped;
     } else if (!memory_capped.load() && !(watchdog && watchdog->breached())) {
-      // --- 4: concurrency judgment per label pair, then tree comparison.
-      // A governed (capped or expired) bucket skips this phase: its trees
-      // are incomplete, and comparing half-built trees proves nothing.
+      // --- 4: concurrency judgment per label pair, then set comparison.
+      // A governed (capped or expired) bucket skips this phase: its sets
+      // are incomplete, and comparing half-built sets proves nothing.
       EnvTimer compare_timer(env_.now_ns);
       std::vector<std::pair<Group*, Group*>> concurrent;
       concurrent.reserve(groups.size());
@@ -623,41 +572,25 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       }
       bucket_stats.concurrent_pairs += concurrent.size();
 
-      // Adaptive back-end choice per pair (legacy mode only): freezing two
-      // trees and setting up the sweep costs a full in-order walk plus
-      // flat-array builds, so it only pays off once the pair holds enough
-      // nodes to enumerate. Region-heavy traces produce thousands of tiny
-      // trees where the legacy per-node range query wins outright; both
-      // back ends emit byte-identical reports, so the cutover is invisible
-      // in the output. In streaming mode there is no tree to fall back on -
-      // every pair runs on the frozen form, whose builder already paid the
-      // sort cost incrementally.
-      constexpr size_t kSweepMinNodes = 128;
-      std::vector<char> sweep_pair(concurrent.size(), 0);
       size_t pair_nodes_total = 0;
-      for (size_t k = 0; k < concurrent.size(); k++) {
-        const size_t nodes = concurrent[k].first->SummaryNodes(stream) +
-                             concurrent[k].second->SummaryNodes(stream);
-        pair_nodes_total += nodes;
-        sweep_pair[k] = stream || (config.use_sweep && nodes >= kSweepMinNodes);
+      for (const auto& [a, b] : concurrent) {
+        pair_nodes_total += a->builder.NodeCount() + b->builder.NodeCount();
       }
 
-      // Freeze step: every group named by a frozen-backend pair gets its
-      // immutable flat comparison form (one in-order walk per tree, or the
-      // builder's spill merge, parallel on the pool). Groups only tiny
-      // legacy pairs touch stay on the tree back end and are never frozen.
+      // Freeze step: every group named by a concurrent pair gets its
+      // immutable flat comparison form (the builder's spill merge, parallel
+      // on the pool).
       //
-      // Repeated-subtrace memoization (use_dedup): groups whose canonical
-      // decoded streams fingerprinted identically summarize to identical
-      // frozen sets, so only the FIRST such group (the leader, in the
-      // deterministic group order) freezes; followers alias its set. The
-      // leader partition runs sequentially before the parallel freeze, so
-      // who leads never depends on the schedule.
+      // Repeated-subtrace memoization: groups whose canonical decoded streams
+      // fingerprinted identically summarize to identical frozen sets, so
+      // only the FIRST such group (the leader, in the deterministic group
+      // order) freezes; followers alias its set. The leader partition runs
+      // sequentially before the parallel freeze, so who leads never depends
+      // on the schedule.
       EnvTimer freeze_timer(env_.now_ns);
       std::vector<Group*> to_freeze;
-      for (size_t k = 0; k < concurrent.size(); k++) {
-        if (!sweep_pair[k]) continue;
-        for (Group* g : {concurrent[k].first, concurrent[k].second}) {
+      for (const auto& [a, b] : concurrent) {
+        for (Group* g : {a, b}) {
           if (!g->freeze_marked) {
             g->freeze_marked = true;
             to_freeze.push_back(g);
@@ -666,23 +599,18 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       }
       std::vector<Group*> freeze_leaders;
       std::vector<std::pair<Group*, Group*>> freeze_shares;  // {follower, leader}
-      if (config.use_dedup) {
-        std::map<SegmentFingerprint, Group*> leader_by_fp;
-        for (Group* g : to_freeze) {
-          auto [it, inserted] = leader_by_fp.try_emplace(g->fingerprint, g);
-          if (inserted) {
-            freeze_leaders.push_back(g);
-          } else {
-            freeze_shares.push_back({g, it->second});
-          }
+      std::map<SegmentFingerprint, Group*> leader_by_fp;
+      for (Group* g : to_freeze) {
+        auto [it, inserted] = leader_by_fp.try_emplace(g->fingerprint, g);
+        if (inserted) {
+          freeze_leaders.push_back(g);
+        } else {
+          freeze_shares.push_back({g, it->second});
         }
-      } else {
-        freeze_leaders = to_freeze;
       }
       if (!freeze_leaders.empty()) {
         auto freeze_one = [&](Group* g) {
-          g->frozen = stream ? g->builder.Freeze()
-                             : itree::FrozenIntervalSet(g->tree);
+          g->frozen = g->builder.Freeze();
           g->frozen_view = &g->frozen;
         };
         if (pool && freeze_leaders.size() >= 2) {
@@ -703,14 +631,14 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       CheckLimits limits;
       limits.solver_step_budget = config.solver_step_budget;
       limits.cancel = watchdog ? &watchdog->breach() : nullptr;
-      limits.use_fastpath = config.use_fastpath;
+      limits.use_fastpath = true;
       // Each pair collects its races privately; the merge below walks pairs
       // in index order, so the global report set's content and order do not
       // depend on the checker thread count or schedule. The journal (and
       // with it "resume == clean run") relies on exactly this determinism.
       std::vector<std::vector<RaceReport>> pair_races(concurrent.size());
 
-      // Pair-check memoization (use_dedup): a pair whose ORDERED fingerprint
+      // Pair-check memoization: a pair whose ORDERED fingerprint
       // pair was already scheduled this bucket would re-derive the leader
       // pair's exact race list (identical streams, content-addressed mutex
       // ids, deterministic checker), so it skips the check and copies the
@@ -720,15 +648,13 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
       // never depends on the checker schedule.
       constexpr size_t kNoMemo = ~size_t{0};
       std::vector<size_t> memo_src(concurrent.size(), kNoMemo);
-      if (config.use_dedup) {
-        std::map<std::pair<SegmentFingerprint, SegmentFingerprint>, size_t>
-            pair_by_fp;
-        for (size_t k = 0; k < concurrent.size(); k++) {
-          auto key = std::make_pair(concurrent[k].first->fingerprint,
-                                    concurrent[k].second->fingerprint);
-          auto [it, inserted] = pair_by_fp.try_emplace(std::move(key), k);
-          if (!inserted) memo_src[k] = it->second;
-        }
+      std::map<std::pair<SegmentFingerprint, SegmentFingerprint>, size_t>
+          pair_by_fp;
+      for (size_t k = 0; k < concurrent.size(); k++) {
+        auto key = std::make_pair(concurrent[k].first->fingerprint,
+                                  concurrent[k].second->fingerprint);
+        auto [it, inserted] = pair_by_fp.try_emplace(std::move(key), k);
+        if (!inserted) memo_src[k] = it->second;
       }
 
       auto check_pair = [&](size_t k, CheckStats* stats) {
@@ -736,14 +662,9 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
         auto on_race = [&](const RaceReport& report) {
           pair_races[k].push_back(report);
         };
-        if (sweep_pair[k]) {
-          CheckFrozenPair(*concurrent[k].first->frozen_view,
-                          *concurrent[k].second->frozen_view, mutexes,
-                          config.engine, on_race, stats, limits);
-        } else {
-          CheckTreePair(concurrent[k].first->tree, concurrent[k].second->tree,
-                        mutexes, config.engine, on_race, stats, limits);
-        }
+        CheckFrozenPair(*concurrent[k].first->frozen_view,
+                        *concurrent[k].second->frozen_view, mutexes,
+                        config.engine, on_race, stats, limits);
       };
 
       // Tiny buckets run on the caller: waking the pool for a handful of
@@ -815,7 +736,7 @@ AnalysisResult Analyzer::Analyze(const TraceStore& store,
     if (memory_capped.load()) rec.flags |= JournalBucketRecord::kMemoryCapped;
 
     // External memory accounting: the bucket's whole summarization footprint
-    // (builders or trees, plus every frozen set actually materialized -
+    // (builders, plus every frozen set actually materialized -
     // dedup followers alias their leader's, so sharing shows up as a real
     // peak reduction). Charged and released here so an injected MemoryScope
     // records the per-bucket high-water mark; never affects the analysis.

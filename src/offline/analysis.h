@@ -8,15 +8,18 @@
 //      orders them, OSL case 2), so only intra-bucket pairs are candidates;
 //   3. per bucket: stream each interval's events from the log files
 //      (decompressing one frame at a time), recover locksets from the
-//      acquire/release events, and build one summarizing red-black interval
-//      tree per (thread, label);
+//      acquire/release events, and summarize each (thread, label) group
+//      straight from the decoder into one frozen flat interval set -
+//      coalesced strided runs stay symbolic, and groups whose decoded
+//      streams fingerprint identically share one set;
 //   4. for every CONCURRENT label pair (OSL judgment - no happens-before,
-//      hence no Fig. 1 masking), compare the two trees with the exact
-//      ILP-backed overlap check;
+//      hence no Fig. 1 masking), sweep-merge the two sets and decide each
+//      overlapping node pair exactly: closed forms for the dominant shapes,
+//      the ILP-backed engine for the rest;
 //   5. deduplicate races by source-location pair.
 //
 // Buckets are processed one at a time so resident memory is bounded by the
-// largest top-level region, not the whole execution; within a bucket, tree
+// largest top-level region, not the whole execution; within a bucket, set
 // comparisons fan out across `threads` checker threads (the paper's
 // distributed mode - Table III's MT column is the per-bucket maximum).
 #pragma once
@@ -38,34 +41,7 @@ namespace sword::offline {
 
 struct AnalysisConfig {
   ilp::OverlapEngine engine = ilp::OverlapEngine::kDiophantine;
-  uint32_t threads = 1;  // checker threads for tree-pair comparisons
-
-  /// Compare frozen flat interval sets with the sort-merge sweep (or the
-  /// galloping fallback) instead of per-node QueryRange on the pointer
-  /// trees. Off = the legacy path (--no-sweep), kept for A/B comparison;
-  /// the confirmed-race output is byte-identical either way.
-  bool use_sweep = true;
-  /// Decide the dominant access shapes with the closed-form fast paths and
-  /// keep the general engine for the rest. Off = every surviving pair goes
-  /// to the engine (--no-fastpath); output is byte-identical either way.
-  bool use_fastpath = true;
-  /// Build each (thread, label) group's frozen flat set directly from the
-  /// decoder's event stream (sorted-append + out-of-order spill buffer),
-  /// never materializing the red-black tree. Off = the legacy tree build
-  /// (--no-stream), kept for A/B ablation; the confirmed-race output is
-  /// byte-identical either way.
-  bool use_stream = true;
-  /// Carry v3 kAccessRun events as symbolic (base, stride, count) intervals
-  /// end to end - one summarized node per run, closed-form overlap checks.
-  /// Off = runs are expanded element by element at decode time
-  /// (--no-symbolic); output is byte-identical either way.
-  bool use_symbolic = true;
-  /// Share one frozen set among same-bucket groups whose canonical decoded
-  /// event streams are identical (fingerprint match), and replay pair
-  /// verdicts for already-checked fingerprint pairs by reference. Off =
-  /// every group builds and every pair is checked (--no-dedup); output is
-  /// byte-identical either way.
-  bool use_dedup = true;
+  uint32_t threads = 1;  // checker threads for set-pair comparisons
 
   // Distributed sharding (the paper's cluster mode: "we distributed the
   // offline analysis across a cluster of nodes"). Buckets - top-level
@@ -110,11 +86,11 @@ struct AnalysisStats {
   uint64_t tree_nodes = 0;           // summarized interval nodes
   uint64_t raw_events = 0;           // events streamed from logs
   uint64_t label_pairs_checked = 0;  // OSL concurrency judgments
-  uint64_t concurrent_pairs = 0;     // pairs that proceeded to tree compare
+  uint64_t concurrent_pairs = 0;     // pairs that proceeded to set compare
   uint64_t node_pairs_ranged = 0;
   uint64_t solver_calls = 0;    // general-engine intersection decisions
   uint64_t fastpath_hits = 0;   // closed-form intersection decisions
-  /// Repeated-subtrace memoization (use_dedup): groups that reused another
+  /// Repeated-subtrace memoization: groups that reused another
   /// group's frozen set because their canonical event streams fingerprinted
   /// identically, and the summarized-node bytes that sharing avoided.
   uint64_t dedup_hits = 0;
@@ -123,7 +99,7 @@ struct AnalysisStats {
   /// merge (summarized runs re-colliding across node pairs).
   uint64_t duplicates_suppressed = 0;
   double build_seconds = 0;
-  double freeze_seconds = 0;  // building frozen flat sets from the trees
+  double freeze_seconds = 0;  // freezing the builders into flat sets
   double compare_seconds = 0;
   double total_seconds = 0;
   /// Longest single-bucket time: the paper's distributed-analysis (MT)
@@ -190,11 +166,11 @@ struct AnalyzerEnv {
   /// Monotonic nanosecond clock for the stats timers. Null = steady_clock.
   std::function<uint64_t()> now_ns;
   /// Optional ledger charged with each bucket's summarization footprint
-  /// (builder or tree bytes plus frozen-set bytes) and released at bucket
-  /// close. Null = no external accounting. Lets benchmarks compare the
-  /// legacy and streaming paths' peaks apples-to-apples; charging NEVER
-  /// changes what races are found (cap failures are ignored here - the
-  /// analysis governor is `max_tree_bytes`).
+  /// (builder bytes plus frozen-set bytes) and released at bucket
+  /// close. Null = no external accounting. Lets benchmarks read the
+  /// analysis' per-bucket peak; charging NEVER changes what races are found
+  /// (cap failures are ignored here - the analysis governor is
+  /// `max_tree_bytes`).
   MemoryScope* mem = nullptr;
 };
 

@@ -44,11 +44,6 @@ void SerializeHeader(const JournalHeader& h, Bytes* out) {
   w.PutU32(h.shard_index);
   w.PutU32(h.shard_count);
   w.PutU8(h.engine);
-  w.PutU8(h.use_sweep);
-  w.PutU8(h.use_fastpath);
-  w.PutU8(h.use_stream);
-  w.PutU8(h.use_symbolic);
-  w.PutU8(h.use_dedup);
   w.PutU8(h.salvage);
   w.PutVarU64(h.solver_step_budget);
   w.PutVarU64(h.bucket_deadline_ms);
@@ -68,11 +63,6 @@ Status ParseHeader(const Bytes& payload, JournalHeader* h) {
   SWORD_RETURN_IF_ERROR(r.GetU32(&h->shard_index));
   SWORD_RETURN_IF_ERROR(r.GetU32(&h->shard_count));
   SWORD_RETURN_IF_ERROR(r.GetU8(&h->engine));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&h->use_sweep));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&h->use_fastpath));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&h->use_stream));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&h->use_symbolic));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&h->use_dedup));
   SWORD_RETURN_IF_ERROR(r.GetU8(&h->salvage));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&h->solver_step_budget));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&h->bucket_deadline_ms));

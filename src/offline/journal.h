@@ -14,7 +14,7 @@
 //   header record   - written ONCE via fsutil write-temp+rename (atomic:
 //                     a crash during creation leaves either no journal or
 //                     a complete header, never a torn one). Carries the
-//                     shard key, the result-affecting analysis knobs, and
+//                     shard key, the result-affecting analysis settings, and
 //                     a fingerprint of the trace, so a journal can never
 //                     be replayed against the wrong trace or config.
 //   bucket records  - APPENDED after each bucket completes. Each is
@@ -48,14 +48,14 @@ constexpr uint32_t kJournalBucketMagic = 0x53574142;  // "SWAB"
 // fastpath_hits and duplicates_suppressed. v3: header binds the store's
 // salvage policy - a salvage analysis skips damaged segments with
 // accounting, so replaying its buckets under a strict open (or vice versa)
-// would silently diverge. v4: header binds the streaming-pipeline knobs
-// (use_stream/use_symbolic/use_dedup) - their race output is byte-identical
-// but their stats are not, so replaying across modes would fold the wrong
-// deltas; bucket records carry dedup_hits/dedup_bytes_saved. Older journals
-// are refused (their stats cannot be folded faithfully into a current run).
-constexpr uint8_t kJournalVersion = 4;
+// would silently diverge. v4: header binds the streaming-pipeline knobs;
+// bucket records carry dedup_hits/dedup_bytes_saved. v5: the analyzer has
+// one pipeline, so the header drops the five pipeline-knob bytes. Older
+// journals are refused (their stats cannot be folded faithfully into a
+// current run, and a v4 journal may come from a since-removed pipeline).
+constexpr uint8_t kJournalVersion = 5;
 
-/// Identifies what a journal belongs to: shard key + the analysis knobs
+/// Identifies what a journal belongs to: shard key + the analysis settings
 /// that change results + a cheap fingerprint of the trace itself. Resume
 /// refuses a journal whose header does not match the current run exactly -
 /// mixing configs would make "resume equals clean" silently false.
@@ -63,11 +63,6 @@ struct JournalHeader {
   uint32_t shard_index = 0;
   uint32_t shard_count = 1;
   uint8_t engine = 0;                 // ilp::OverlapEngine as int
-  uint8_t use_sweep = 1;              // frozen-sweep comparison path
-  uint8_t use_fastpath = 1;           // closed-form overlap fast paths
-  uint8_t use_stream = 1;             // decoder-to-frozen streaming build
-  uint8_t use_symbolic = 1;           // symbolic strided-run intervals
-  uint8_t use_dedup = 1;              // repeated-subtrace memoization
   uint8_t salvage = 0;                // store opened with salvage policy
   uint64_t solver_step_budget = 0;
   uint64_t bucket_deadline_ms = 0;

@@ -11,11 +11,11 @@
 //   3. surviving pairs are data races, reported at the two source locations.
 //
 // Two enumeration back ends produce the identical candidate-pair set:
-//   - CheckTreePair: the legacy path, per-node QueryRange on the pointer
-//     red-black tree (kept as the A/B baseline, reachable via --no-sweep);
-//   - CheckFrozenPair: the default path, a sort-merge sweep over two frozen
-//     flat sets (O(M + M' + matches), sequential memory), switching to
-//     galloping per-node queries when one set is much smaller.
+//   - CheckTreePair: per-node QueryRange on the pointer red-black tree, a
+//     reference for tests and benchmarks (the analyzer never calls it);
+//   - CheckFrozenPair: the analyzer's path, a sort-merge sweep over two
+//     frozen flat sets (O(M + M' + matches), sequential memory), switching
+//     to galloping per-node queries when one set is much smaller.
 // Both buffer each pair's reports and emit them in one canonical order with
 // exact duplicates suppressed, so the confirmed-race output is byte-for-byte
 // independent of which back end enumerated the pairs.
@@ -53,8 +53,8 @@ struct CheckLimits {
   const std::atomic<bool>* cancel = nullptr;
   /// Try the closed-form fast paths before the general engine (exact; the
   /// verdicts and witnesses are engine-identical). Off by default so that
-  /// direct callers get the pure-engine baseline; the analyzer turns it on
-  /// unless --no-fastpath.
+  /// direct callers get the pure-engine baseline; the analyzer always turns
+  /// it on.
   bool use_fastpath = false;
 };
 

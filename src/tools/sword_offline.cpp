@@ -4,8 +4,6 @@
 //                 [--json] [--shard I --shards N] [--salvage]
 //                 [--journal [PATH]] [--resume]
 //                 [--bucket-deadline-ms N] [--max-tree-mb N] [--solver-budget N]
-//                 [--no-sweep] [--no-fastpath]
-//                 [--no-stream] [--no-symbolic] [--no-dedup]
 //
 // Reads a trace directory produced by SwordTool (sword_t*.log/.meta),
 // recovers the concurrency structure, and prints the deduplicated race
@@ -42,7 +40,7 @@ constexpr int kExitFailure = 4;
 void PrintUsage() {
   std::fprintf(stderr,
                "usage: sword-offline <trace-dir> [options]\n"
-               "  --threads N      checker threads for tree comparison (default 1)\n"
+               "  --threads N      checker threads for set comparison (default 1)\n"
                "  --engine E       overlap engine: dio (default) or ilp\n"
                "  --stats          print analysis statistics\n"
                "  --json           machine-readable output\n"
@@ -59,30 +57,11 @@ void PrintUsage() {
                "                   bit-identical to an uninterrupted run\n"
                "  --bucket-deadline-ms N  abort any single bucket after N ms of\n"
                "                   wall clock (0 = no deadline)\n"
-               "  --max-tree-mb N  abandon a bucket whose interval trees exceed\n"
+               "  --max-tree-mb N  abandon a bucket whose interval summaries exceed\n"
                "                   N MiB (0 = no cap)\n"
                "  --solver-budget N  per-query overlap-solver step budget; an\n"
                "                   exhausted query reports an UNPROVEN race\n"
                "                   (default 4000000, 0 = unlimited)\n"
-               "  --no-sweep       compare trees with per-node range queries\n"
-               "                   instead of frozen-set sweep-merge (ablation;\n"
-               "                   race output is identical either way)\n"
-               "  --no-fastpath    disable closed-form overlap fast paths and\n"
-               "                   send every candidate pair to the solver\n"
-               "                   (ablation; race output is identical either\n"
-               "                   way at the default solver budget)\n"
-               "  --no-stream      build red-black interval trees and freeze\n"
-               "                   them, instead of streaming decoder output\n"
-               "                   straight into frozen sets (ablation; race\n"
-               "                   output is identical either way)\n"
-               "  --no-symbolic    expand coalesced strided-run events element\n"
-               "                   by element instead of carrying them as\n"
-               "                   symbolic intervals (ablation; race output\n"
-               "                   is identical either way)\n"
-               "  --no-dedup       disable repeated-subtrace memoization -\n"
-               "                   every group freezes its own set and every\n"
-               "                   pair is checked (ablation; race output is\n"
-               "                   identical either way)\n"
                "exit codes: 0 no races, 2 races found, 4 I/O or analysis\n"
                "failure, 1 usage error\n");
 }
@@ -104,11 +83,6 @@ int main(int argc, char** argv) {
   const int64_t bucket_deadline_ms = args.GetInt("bucket-deadline-ms", 0);
   const int64_t max_tree_mb = args.GetInt("max-tree-mb", 0);
   const int64_t solver_budget = args.GetInt("solver-budget", 4000000);
-  const bool no_sweep = args.GetBool("no-sweep");
-  const bool no_fastpath = args.GetBool("no-fastpath");
-  const bool no_stream = args.GetBool("no-stream");
-  const bool no_symbolic = args.GetBool("no-symbolic");
-  const bool no_dedup = args.GetBool("no-dedup");
 
   if (args.GetBool("help")) {
     PrintUsage();
@@ -188,33 +162,6 @@ int main(int argc, char** argv) {
                    salvage ? "with" : "without");
       return kExitUsage;
     }
-    // Same pre-check for the streaming-pipeline knobs (v4 binding): their
-    // race output is byte-identical across modes, but their journaled stat
-    // deltas are not, so replaying across modes would fold wrong stats.
-    struct ModeKnob {
-      const char* flag;
-      uint8_t journaled;
-      bool requested;
-    };
-    if (loaded.ok()) {
-      const auto& h = loaded.value().header;
-      for (const ModeKnob& knob :
-           {ModeKnob{"--no-stream", h.use_stream, !no_stream},
-            ModeKnob{"--no-symbolic", h.use_symbolic, !no_symbolic},
-            ModeKnob{"--no-dedup", h.use_dedup, !no_dedup}}) {
-        if (knob.journaled != (knob.requested ? 1 : 0)) {
-          std::fprintf(stderr,
-                       "error: journal %s was written %s %s; resuming it "
-                       "%s %s would fold mismatched statistics\n"
-                       "(rerun with the journal's mode, or delete the journal "
-                       "to start fresh)\n",
-                       journal_path.c_str(), knob.journaled ? "without" : "with",
-                       knob.flag, knob.requested ? "without" : "with",
-                       knob.flag);
-          return kExitUsage;
-        }
-      }
-    }
   }
 
   offline::StoreOptions store_options;
@@ -246,11 +193,6 @@ int main(int argc, char** argv) {
   config.solver_step_budget = static_cast<uint64_t>(solver_budget);
   config.journal_path = journal_path;
   config.resume = resume;
-  config.use_sweep = !no_sweep;
-  config.use_fastpath = !no_fastpath;
-  config.use_stream = !no_stream;
-  config.use_symbolic = !no_symbolic;
-  config.use_dedup = !no_dedup;
   const offline::AnalysisResult result = offline::Analyze(store.value(), config);
   if (!result.status.ok()) {
     std::fprintf(stderr, "analysis error: %s\n", result.status.ToString().c_str());

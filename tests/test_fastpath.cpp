@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -682,6 +684,67 @@ TEST(SinkLifecycle, ConcurrentStatReadsWhileTracing) {
   EXPECT_EQ(tool.EventsLogged() + tool.EventsCoalesced() +
                 tool.EventsSuppressed(),
             4u * 16u * 256u);
+}
+
+TEST(SinkLifecycle, ThreadRegistrationRacesAggregatorsAndFinalize) {
+  // A thread registers with the tool on its first hook. Its state must be
+  // published fully built: every aggregator and Finalize() walk the state
+  // list and dereference each writer, so a state visible before its writer
+  // exists is a null dereference. Registrants are raw OS threads calling a
+  // hook that touches no writer state after registration (no segment is
+  // open), so the only shared access under test is the publication itself.
+  constexpr uint32_t kRegistrants = 6;
+  for (int round = 0; round < 20; round++) {
+    TempDir dir("sink-register");
+    core::SwordConfig sc;
+    sc.out_dir = dir.path();
+    core::SwordTool tool(sc);
+    somp::RuntimeConfig rc;
+    rc.tool = &tool;
+    somp::Runtime::Get().ResetIds();
+    somp::Runtime::Get().Configure(rc);
+    std::atomic<bool> finalized_ok{false};
+    somp::Parallel(1, [&](somp::Ctx& ctx) {
+      std::atomic<bool> go{false};
+      std::atomic<bool> stop{false};
+      auto wait_go = [&] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      };
+      std::vector<std::thread> threads;
+      for (uint32_t i = 0; i < kRegistrants; i++) {
+        threads.emplace_back([&] {
+          wait_go();
+          tool.OnBarrierEnter(ctx, 0, somp::BarrierKind::kExplicit);
+        });
+      }
+      std::thread reader([&] {
+        wait_go();
+        uint64_t sink = 0;
+        do {
+          sink += tool.ThreadCount() + tool.Flushes() + tool.EventsLogged() +
+                  tool.EventsSuppressed() + tool.EventsCoalesced() +
+                  tool.RunsEmitted() + tool.AccessesDropped() +
+                  tool.DegradedDropped() + tool.EventsElided() +
+                  tool.ElidedLost() + tool.LogPaths().size() +
+                  tool.MetaPaths().size();
+        } while (!stop.load(std::memory_order_acquire));
+        EXPECT_GT(sink, 0u);
+      });
+      std::thread finalizer([&] {
+        wait_go();
+        finalized_ok = tool.Finalize().ok();
+      });
+      go.store(true, std::memory_order_release);
+      for (auto& t : threads) t.join();
+      finalizer.join();
+      stop.store(true, std::memory_order_release);
+      reader.join();
+    });
+    somp::Runtime::Get().Configure({});
+    EXPECT_TRUE(finalized_ok.load());
+    EXPECT_EQ(tool.ThreadCount(), kRegistrants + 1);  // + the team's lane 0
+    EXPECT_EQ(tool.LogPaths().size(), kRegistrants + 1);
+  }
 }
 
 }  // namespace

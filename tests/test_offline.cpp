@@ -14,6 +14,7 @@
 #include "offline/journal.h"
 #include "offline/racecheck.h"
 #include "offline/tracestore.h"
+#include "journal_v4.h"
 #include "trace/writer.h"
 
 namespace sword::offline {
@@ -420,11 +421,6 @@ TEST(Journal, RoundTrip) {
   header.shard_index = 0;
   header.shard_count = 1;
   header.engine = 1;
-  header.use_sweep = 0;
-  header.use_fastpath = 0;
-  header.use_stream = 0;
-  header.use_symbolic = 0;
-  header.use_dedup = 0;
   header.solver_step_budget = 42;
   header.thread_count = 2;
   header.total_intervals = 10;
@@ -509,89 +505,29 @@ TEST(Journal, HeaderBindsSalvagePolicy) {
   EXPECT_FALSE(loaded.value().header == strict);
 }
 
-TEST(Journal, HeaderBindsStreamingKnobs) {
-  // v4 headers carry the streaming-pipeline knobs: race output is
-  // byte-identical across modes, but the journaled stat deltas are not, so
-  // replaying a streaming run's buckets into a --no-stream analysis (or any
-  // other knob flip) must be refused. Each knob alone breaks equality.
-  TempDir dir("journal-streamknobs");
-  JournalHeader base;
-  base.thread_count = 2;
-  base.total_intervals = 8;
-  base.total_log_bytes = 512;
-  for (uint8_t JournalHeader::* knob :
-       {&JournalHeader::use_stream, &JournalHeader::use_symbolic,
-        &JournalHeader::use_dedup}) {
-    JournalHeader flipped = base;
-    flipped.*knob = 0;
-    EXPECT_FALSE(base == flipped);
-  }
+TEST(Journal, RefusesV4HeaderAsUnsupported) {
+  // v5 dropped the five pipeline-knob bytes v4 headers carried; a v4
+  // journal is refused like every older version, even when its trace
+  // fingerprint matches, never misparsed into a current header.
+  TempDir dir("journal-v4");
+  const std::string path = dir.path() + "/v4.journal";
+  JournalHeader header;
+  header.thread_count = 2;
+  header.total_intervals = 8;
+  header.total_log_bytes = 512;
+  ASSERT_TRUE(WriteFile(path, EncodeV4JournalHeader(header)).ok());
+  const auto loaded = LoadJournal(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), ErrorCode::kUnsupported)
+      << loaded.status().ToString();
 
-  const std::string path = dir.path() + "/k.journal";
-  JournalHeader legacy = base;
-  legacy.use_stream = 0;
-  legacy.use_symbolic = 0;
-  legacy.use_dedup = 0;
-  {
-    auto writer = JournalWriter::Create(path, legacy);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  }
-  auto loaded = LoadJournal(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().header.use_stream, 0);
-  EXPECT_EQ(loaded.value().header.use_symbolic, 0);
-  EXPECT_EQ(loaded.value().header.use_dedup, 0);
-  EXPECT_TRUE(loaded.value().header == legacy);
-  EXPECT_FALSE(loaded.value().header == base);
-}
-
-TEST(Analysis, ResumeRefusesCrossModeJournal) {
-  // A journal written by the streaming pipeline must not resume a legacy
-  // (--no-stream) analysis: the replayed stat deltas would be the wrong
-  // mode's. Same for the symbolic and dedup knobs.
+  // The analyzer surfaces the refusal as a failed resume.
   SyntheticTrace t;
   WriteFiveRegionTrace(t);
-  AnalysisConfig journaled;
-  journaled.journal_path = t.dir.path() + "/mode.journal";
-  ASSERT_TRUE(t.Analyze(journaled).status.ok());
-
-  for (bool AnalysisConfig::* knob :
-       {&AnalysisConfig::use_stream, &AnalysisConfig::use_symbolic,
-        &AnalysisConfig::use_dedup}) {
-    AnalysisConfig resume = journaled;
-    resume.resume = true;
-    resume.*knob = false;
-    EXPECT_FALSE(t.Analyze(resume).status.ok());
-  }
-
-  // Matching modes resume fine.
-  AnalysisConfig same = journaled;
-  same.resume = true;
-  EXPECT_TRUE(t.Analyze(same).status.ok());
-}
-
-TEST(Analysis, StreamingAblationsProduceIdenticalRaces) {
-  // The three pipeline knobs are pure optimizations: every combination must
-  // find exactly the same races as the all-off legacy path.
-  SyntheticTrace t;
-  WriteFiveRegionTrace(t);
-  AnalysisConfig legacy;
-  legacy.use_stream = false;
-  legacy.use_symbolic = false;
-  legacy.use_dedup = false;
-  const AnalysisResult base = t.Analyze(legacy);
-  ASSERT_TRUE(base.status.ok());
-  EXPECT_EQ(base.races.size(), 5u);
-
-  for (int mask = 1; mask < 8; mask++) {
-    AnalysisConfig config;
-    config.use_stream = mask & 1;
-    config.use_symbolic = mask & 2;
-    config.use_dedup = mask & 4;
-    const AnalysisResult got = t.Analyze(config);
-    ASSERT_TRUE(got.status.ok()) << "mask " << mask;
-    ExpectSameReports(got.races, base.races);
-  }
+  AnalysisConfig resume;
+  resume.journal_path = path;
+  resume.resume = true;
+  EXPECT_FALSE(t.Analyze(resume).status.ok());
 }
 
 TEST(Analysis, DedupSharesFrozenSetsAcrossIdenticalGroups) {
@@ -614,21 +550,23 @@ TEST(Analysis, DedupSharesFrozenSetsAcrossIdenticalGroups) {
     t.WriteThread(tid, {{m, events}});
   }
 
-  AnalysisConfig with_dedup;
-  const AnalysisResult deduped = t.Analyze(with_dedup);
-  ASSERT_TRUE(deduped.status.ok());
+  const AnalysisResult serial = t.Analyze();
+  ASSERT_TRUE(serial.status.ok());
+  ASSERT_GT(serial.races.size(), 0u);
   // 4 identical groups -> 1 leader + 3 frozen-sharing followers, and
   // C(4,2)=6 concurrent pairs -> 1 checked + 5 memoized: 8 hits total.
-  EXPECT_EQ(deduped.stats.dedup_hits, 8u);
-  EXPECT_GT(deduped.stats.dedup_bytes_saved, 0u);
+  EXPECT_EQ(serial.stats.dedup_hits, 8u);
+  EXPECT_GT(serial.stats.dedup_bytes_saved, 0u);
 
-  AnalysisConfig no_dedup;
-  no_dedup.use_dedup = false;
-  const AnalysisResult plain = t.Analyze(no_dedup);
-  ASSERT_TRUE(plain.status.ok());
-  EXPECT_EQ(plain.stats.dedup_hits, 0u);
-  EXPECT_EQ(plain.stats.dedup_bytes_saved, 0u);
-  ExpectSameReports(deduped.races, plain.races);
+  // Who leads and who memoizes is decided sequentially, so the sharing -
+  // and the races - are the same on the checker pool.
+  AnalysisConfig parallel;
+  parallel.threads = 3;
+  const AnalysisResult par = t.Analyze(parallel);
+  ASSERT_TRUE(par.status.ok());
+  EXPECT_EQ(par.stats.dedup_hits, serial.stats.dedup_hits);
+  EXPECT_EQ(par.stats.dedup_bytes_saved, serial.stats.dedup_bytes_saved);
+  ExpectSameReports(par.races, serial.races);
 }
 
 TEST(Journal, TornTailDroppedAndContinueRepairs) {
@@ -841,12 +779,15 @@ TEST(Analysis, DeadlineWatchdogAbortsOnlyThatBucket) {
 
 TEST(Analysis, SolverBudgetYieldsUnprovenNeverDropped) {
   SyntheticTrace t;
-  // Interleaved strides (no true overlap) plus one genuine collision - the
-  // shape where an exhausted solver must say "unproven", not "no race".
+  // Interleaved sparse strides of UNEQUAL spacing (16 vs 32, no true
+  // overlap: t0 covers bytes 0-7 and t1 bytes 8-15 of every 16) plus one
+  // genuine collision. Sparse x sparse with unequal strides is the shape no
+  // closed form decides, so only the solver can rule the overlap out - and
+  // an exhausted solver must say "unproven", not "no race".
   std::vector<trace::RawEvent> e0, e1;
   for (uint64_t i = 0; i < 40; i++) {
     e0.push_back(trace::RawEvent::Access(0x1000 + i * 16, 8, 1, 11));
-    e1.push_back(trace::RawEvent::Access(0x1008 + i * 16, 8, 1, 22));
+    e1.push_back(trace::RawEvent::Access(0x1008 + i * 32, 8, 1, 22));
   }
   e1.push_back(trace::RawEvent::Access(0x1000, 4, 0, 33));
   t.WriteThread(0, {{Meta(0, 2), e0}});
@@ -855,13 +796,12 @@ TEST(Analysis, SolverBudgetYieldsUnprovenNeverDropped) {
   const AnalysisResult unlimited = t.Analyze();
   ASSERT_TRUE(unlimited.status.ok());
   EXPECT_EQ(unlimited.stats.races_unproven, 0u);
+  EXPECT_GT(unlimited.stats.solver_calls, 0u);
+  EXPECT_TRUE(unlimited.races.Contains(11, 33));
+  EXPECT_FALSE(unlimited.races.Contains(11, 22));
 
   AnalysisConfig starved;
   starved.solver_step_budget = 1;
-  // The closed-form fast path would decide these strided pairs exactly
-  // without spending solver steps; ablate it so the budget governor is
-  // actually exercised.
-  starved.use_fastpath = false;
   const AnalysisResult budgeted = t.Analyze(starved);
   ASSERT_TRUE(budgeted.status.ok());
   EXPECT_GT(budgeted.stats.solver_bailouts, 0u);
@@ -873,16 +813,25 @@ TEST(Analysis, SolverBudgetYieldsUnprovenNeverDropped) {
         << "race " << r.pc1 << "/" << r.pc2 << " dropped under budget";
   }
 
-  // With the fast path ON, the same starved budget never bails: every pair
-  // in this workload fits a closed form, which is exact at zero step cost.
-  AnalysisConfig starved_fast;
-  starved_fast.solver_step_budget = 1;
-  const AnalysisResult fast = t.Analyze(starved_fast);
+  // Equal strides (16 vs 16) fit a closed form, which is exact at zero
+  // step cost: the same starved budget never bails there.
+  SyntheticTrace equal;
+  std::vector<trace::RawEvent> q0, q1;
+  for (uint64_t i = 0; i < 40; i++) {
+    q0.push_back(trace::RawEvent::Access(0x1000 + i * 16, 8, 1, 11));
+    q1.push_back(trace::RawEvent::Access(0x1008 + i * 16, 8, 1, 22));
+  }
+  q1.push_back(trace::RawEvent::Access(0x1000, 4, 0, 33));
+  equal.WriteThread(0, {{Meta(0, 2), q0}});
+  equal.WriteThread(1, {{Meta(1, 2), q1}});
+  const AnalysisResult exact = equal.Analyze();
+  const AnalysisResult fast = equal.Analyze(starved);
+  ASSERT_TRUE(exact.status.ok());
   ASSERT_TRUE(fast.status.ok());
   EXPECT_EQ(fast.stats.solver_bailouts, 0u);
   EXPECT_EQ(fast.stats.races_unproven, 0u);
   EXPECT_GT(fast.stats.fastpath_hits, 0u);
-  EXPECT_EQ(fast.races.size(), unlimited.races.size());
+  ExpectSameReports(fast.races, exact.races);
 }
 
 TEST(Analysis, PeakTreeBytesNamesTheBucket) {
@@ -1180,51 +1129,47 @@ TEST(CheckerPool, UnevenWorkStillCompletes) {
 // not change the analyzer's output in any way - same races, same order, same
 // confidences - serial or parallel.
 
-TEST(Analysis, SweepAndFastpathAblationsAreByteIdentical) {
+TEST(Analysis, SweepAndFastpathStatsIdenticalAcrossThreadCounts) {
   SyntheticTrace t;
-  std::vector<trace::RawEvent> e0, e1;
+  // Three lanes: each pair of lanes is concurrent. Lanes 0 and 1 carry the
+  // mixed shapes (strided writes, interleaved non-racing writes, colliding
+  // reads, a read into a disjoint write run); every lane also carries 700
+  // distinct-pc writes in its own address window, so the three pairs hold
+  // enough nodes to run on the checker pool at 3 threads.
+  constexpr uint32_t kLanes = 3;
+  std::vector<trace::RawEvent> events[kLanes];
   for (uint64_t i = 0; i < 30; i++) {
-    e0.push_back(trace::RawEvent::Access(0x1000 + i * 16, 8, 1, 11));     // strided writes
-    e1.push_back(trace::RawEvent::Access(0x1008 + i * 16, 8, 1, 22));     // interleaved (no race)
-    e1.push_back(trace::RawEvent::Access(0x1000 + i * 16, 4, 0, 33));     // colliding reads
-    e1.push_back(trace::RawEvent::Access(0x9000 + i * 24, 8, 1, 44));     // disjoint writes
+    events[0].push_back(trace::RawEvent::Access(0x1000 + i * 16, 8, 1, 11));  // strided writes
+    events[1].push_back(trace::RawEvent::Access(0x1008 + i * 16, 8, 1, 22));  // interleaved (no race)
+    events[1].push_back(trace::RawEvent::Access(0x1000 + i * 16, 4, 0, 33));  // colliding reads
+    events[1].push_back(trace::RawEvent::Access(0x9000 + i * 24, 8, 1, 44));  // disjoint writes
   }
-  e0.push_back(trace::RawEvent::Access(0x9000, 8, 0, 55));  // one read hits t1's run
-  t.WriteThread(0, {{Meta(0, 2), e0}});
-  t.WriteThread(1, {{Meta(1, 2), e1}});
+  events[0].push_back(trace::RawEvent::Access(0x9000, 8, 0, 55));  // one read hits t1's run
+  for (uint32_t lane = 0; lane < kLanes; lane++) {
+    for (uint64_t i = 0; i < 700; i++) {
+      events[lane].push_back(trace::RawEvent::Access(
+          0x100000 * (lane + 1) + i * 64, 8, 1,
+          static_cast<uint32_t>(1000 * (lane + 1) + i)));
+    }
+    t.WriteThread(lane, {{Meta(lane, kLanes), events[lane]}});
+  }
 
-  AnalysisConfig ablations[4];
-  ablations[1].use_sweep = false;
-  ablations[2].use_fastpath = false;
-  ablations[3].use_sweep = false;
-  ablations[3].use_fastpath = false;
-
-  const AnalysisResult base = t.Analyze(ablations[0]);
+  const AnalysisResult base = t.Analyze();
   ASSERT_TRUE(base.status.ok());
   ASSERT_GT(base.races.size(), 0u);
   EXPECT_GT(base.stats.fastpath_hits, 0u);
+  EXPECT_EQ(base.stats.concurrent_pairs, 3u);
 
-  for (int i = 1; i < 4; i++) {
-    const AnalysisResult alt = t.Analyze(ablations[i]);
-    ASSERT_TRUE(alt.status.ok());
-    ExpectSameReports(base.races.reports(), alt.races.reports());
-    EXPECT_EQ(base.stats.node_pairs_ranged, alt.stats.node_pairs_ranged) << i;
-    EXPECT_EQ(base.stats.duplicates_suppressed, alt.stats.duplicates_suppressed)
-        << i;
-    // With the fast path off, every decision goes to the engine.
-    if (!ablations[i].use_fastpath) {
-      EXPECT_EQ(alt.stats.fastpath_hits, 0u);
-      EXPECT_EQ(alt.stats.solver_calls,
-                base.stats.solver_calls + base.stats.fastpath_hits)
-          << i;
-    }
-    // And the pooled parallel path agrees with all of it.
-    AnalysisConfig parallel = ablations[i];
-    parallel.threads = 3;
-    const AnalysisResult par = t.Analyze(parallel);
-    ASSERT_TRUE(par.status.ok());
-    ExpectSameReports(base.races.reports(), par.races.reports());
-  }
+  AnalysisConfig parallel;
+  parallel.threads = 3;
+  const AnalysisResult par = t.Analyze(parallel);
+  ASSERT_TRUE(par.status.ok());
+  ExpectSameReports(base.races.reports(), par.races.reports());
+  EXPECT_EQ(base.stats.node_pairs_ranged, par.stats.node_pairs_ranged);
+  EXPECT_EQ(base.stats.duplicates_suppressed, par.stats.duplicates_suppressed);
+  EXPECT_EQ(base.stats.fastpath_hits, par.stats.fastpath_hits);
+  EXPECT_EQ(base.stats.solver_calls, par.stats.solver_calls);
+  EXPECT_EQ(base.stats.tree_nodes, par.stats.tree_nodes);
 }
 
 }  // namespace

@@ -9,12 +9,18 @@
 //      every pair the legacy path proves stays proven with the same witness,
 //      every pair the fast-path run reports was at least flagged (possibly
 //      unproven) by the legacy path, and nothing is invented or dropped.
-//   3. The full analyzer gives byte-identical reports (text rendering
-//      included) across every --no-sweep / --no-fastpath ablation and
-//      thread count, over randomized multi-threaded strided traces.
+//   3. The full analyzer reports exactly the pc pairs of the brute-force
+//      reference oracle (tests/race_oracle.h), renders byte-identically at
+//      1 and 3 checker threads, over randomized multi-threaded traces in
+//      every wire format - and never more than the oracle on salvage-cut
+//      traces. Two deterministic traces pin the run-tail and lock-release
+//      shapes the random ones rarely decide at pc-pair granularity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -24,6 +30,7 @@
 #include "offline/racecheck.h"
 #include "offline/report.h"
 #include "offline/tracestore.h"
+#include "race_oracle.h"
 #include "trace/writer.h"
 
 namespace sword::offline {
@@ -200,7 +207,8 @@ INSTANTIATE_TEST_SUITE_P(RandomWorkloads, RacecheckProperty,
                          testing::Range(0, 30));
 
 // ---------------------------------------------------------------------------
-// Full-analyzer ablation identity over randomized multi-threaded traces.
+// Full analyzer vs the brute-force oracle over randomized multi-threaded
+// traces.
 
 trace::IntervalMeta PropMeta(uint32_t lane, uint32_t span, uint64_t phase) {
   trace::IntervalMeta m;
@@ -217,7 +225,7 @@ trace::IntervalMeta PropMeta(uint32_t lane, uint32_t span, uint64_t phase) {
 
 class AnalyzeAblationProperty : public testing::TestWithParam<int> {};
 
-TEST_P(AnalyzeAblationProperty, AllAblationsRenderIdentically) {
+TEST_P(AnalyzeAblationProperty, MatchesOracleAtEveryThreadCount) {
   Rng rng(88000 + static_cast<uint64_t>(GetParam()));
   TempDir dir("prop-ablate");
   trace::Flusher flusher{/*async=*/false};
@@ -251,38 +259,26 @@ TEST_P(AnalyzeAblationProperty, AllAblationsRenderIdentically) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   const auto pc_name = [](uint32_t pc) { return "pc#" + std::to_string(pc); };
 
-  AnalysisConfig base_config;
-  const AnalysisResult base = Analyze(store.value(), base_config);
+  const AnalysisResult base = Analyze(store.value());
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  const std::string base_text = RenderText(base, pc_name);
+  EXPECT_EQ(oracle::RacePairs(base.races), oracle::RacePairs(store.value()));
 
-  for (const bool use_sweep : {true, false}) {
-    for (const bool use_fastpath : {true, false}) {
-      for (const uint32_t nthreads : {1u, 3u}) {
-        AnalysisConfig config;
-        config.use_sweep = use_sweep;
-        config.use_fastpath = use_fastpath;
-        config.threads = nthreads;
-        const AnalysisResult alt = Analyze(store.value(), config);
-        ASSERT_TRUE(alt.status.ok());
-        EXPECT_EQ(RenderText(alt, pc_name), base_text)
-            << "sweep=" << use_sweep << " fastpath=" << use_fastpath
-            << " threads=" << nthreads;
-        EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
-      }
-    }
-  }
+  AnalysisConfig parallel;
+  parallel.threads = 3;
+  const AnalysisResult alt = Analyze(store.value(), parallel);
+  ASSERT_TRUE(alt.status.ok());
+  EXPECT_EQ(RenderText(alt, pc_name), RenderText(base, pc_name));
+  EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraces, AnalyzeAblationProperty,
                          testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
-// Streaming-pipeline equivalence: the decoder-to-frozen build (use_stream),
-// symbolic strided runs (use_symbolic), and repeated-subtrace memoization
-// (use_dedup) must each - and in every combination, at every thread count -
-// render byte-identically to the all-off legacy path, across trace formats
-// v1/v2/v3 and across salvage-cut traces whose tails died mid-segment.
+// The analyzer's streaming pipeline - decoder-to-frozen build, symbolic
+// strided runs, repeated-subtrace memoization - against the brute-force
+// oracle, across trace formats v1/v2/v3 and across salvage-cut traces whose
+// tails died mid-segment.
 
 /// One thread's scripted event stream. Scripts are generated once and
 /// sometimes REPLAYED verbatim on another thread, so dedup's
@@ -327,13 +323,44 @@ EventScript RandomScript(Rng& rng) {
   return script;
 }
 
+/// Writes `scripts[tid][phase]` as thread tid's barrier interval `phase` in
+/// wire format `format`, one log/meta pair per thread, the way the online
+/// tool logs them.
+void WriteScripts(const std::string& dir, uint8_t format,
+                  const std::vector<std::vector<EventScript>>& scripts) {
+  trace::Flusher flusher{/*async=*/false};
+  const uint32_t threads = static_cast<uint32_t>(scripts.size());
+  for (uint32_t tid = 0; tid < threads; tid++) {
+    trace::WriterConfig wc;
+    wc.log_path = dir + "/sword_t" + std::to_string(tid) + ".log";
+    wc.meta_path = dir + "/sword_t" + std::to_string(tid) + ".meta";
+    wc.flusher = &flusher;
+    wc.format = format;
+    trace::ThreadTraceWriter writer(tid, wc);
+    for (uint32_t phase = 0; phase < scripts[tid].size(); phase++) {
+      writer.BeginSegment(PropMeta(tid, threads, phase));
+      for (const trace::RawEvent& e : scripts[tid][phase]) {
+        // Accesses take the instrumented path, so v3 traces carry what the
+        // duplicate filter and the run coalescer make of them (kAccessRun);
+        // plain Append would log every access verbatim.
+        if (e.kind == trace::EventKind::kAccess) {
+          writer.AppendAccess(e.addr, e.size, e.flags, e.pc);
+        } else {
+          writer.Append(e);
+        }
+      }
+      writer.EndSegment();
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+}
+
 class StreamingPipelineProperty : public testing::TestWithParam<int> {};
 
-TEST_P(StreamingPipelineProperty, AllModeCombinationsRenderIdentically) {
+TEST_P(StreamingPipelineProperty, MatchesOracleAtEveryThreadCount) {
   const int seed = GetParam();
   Rng rng(99000 + static_cast<uint64_t>(seed));
   TempDir dir("prop-stream");
-  trace::Flusher flusher{/*async=*/false};
   // Rotate the wire format so every decoder front end feeds the streaming
   // build; only v3 carries kAccessRun, the symbolic layer's event.
   const uint8_t format = static_cast<uint8_t>(
@@ -354,24 +381,11 @@ TEST_P(StreamingPipelineProperty, AllModeCombinationsRenderIdentically) {
     }
   }
 
-  for (uint32_t tid = 0; tid < threads; tid++) {
-    trace::WriterConfig wc;
-    wc.log_path = dir.path() + "/sword_t" + std::to_string(tid) + ".log";
-    wc.meta_path = dir.path() + "/sword_t" + std::to_string(tid) + ".meta";
-    wc.flusher = &flusher;
-    wc.format = format;
-    trace::ThreadTraceWriter writer(tid, wc);
-    for (uint32_t phase = 0; phase < phases; phase++) {
-      writer.BeginSegment(PropMeta(tid, threads, phase));
-      for (const trace::RawEvent& e : scripts[tid][phase]) writer.Append(e);
-      writer.EndSegment();
-    }
-    ASSERT_TRUE(writer.Finish().ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(WriteScripts(dir.path(), format, scripts));
 
   // Every third seed analyzes a salvage-cut trace: the last thread's log
-  // loses its tail (as a SIGKILL mid-flush would leave it), so streaming
-  // must match legacy on damaged segments and partially-streamed groups too.
+  // loses its tail (as a SIGKILL mid-flush would leave it), so damaged
+  // segments and partially-streamed groups are covered too.
   StoreOptions store_options;
   if (seed % 3 == 1) {
     const std::string victim =
@@ -390,34 +404,114 @@ TEST_P(StreamingPipelineProperty, AllModeCombinationsRenderIdentically) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   const auto pc_name = [](uint32_t pc) { return "pc#" + std::to_string(pc); };
 
-  AnalysisConfig legacy;
-  legacy.use_stream = false;
-  legacy.use_symbolic = false;
-  legacy.use_dedup = false;
-  const AnalysisResult base = Analyze(store.value(), legacy);
+  const AnalysisResult base = Analyze(store.value());
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  const std::string base_text = RenderText(base, pc_name);
-
-  for (int mask = 0; mask < 8; mask++) {
-    for (const uint32_t nthreads : {1u, 3u}) {
-      AnalysisConfig config;
-      config.use_stream = mask & 1;
-      config.use_symbolic = mask & 2;
-      config.use_dedup = mask & 4;
-      config.threads = nthreads;
-      const AnalysisResult alt = Analyze(store.value(), config);
-      ASSERT_TRUE(alt.status.ok()) << alt.status.ToString();
-      EXPECT_EQ(RenderText(alt, pc_name), base_text)
-          << "stream=" << bool(mask & 1) << " symbolic=" << bool(mask & 2)
-          << " dedup=" << bool(mask & 4) << " threads=" << nthreads
-          << " format=v" << int(format);
-      EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
-    }
+  const std::set<oracle::PcPair> found = oracle::RacePairs(base.races);
+  const std::set<oracle::PcPair> expected = oracle::RacePairs(store.value());
+  if (store_options.salvage) {
+    // A damaged segment may lose events the oracle still decodes before the
+    // damage; the analyzer may then miss races, but never invents one.
+    EXPECT_TRUE(std::includes(expected.begin(), expected.end(), found.begin(),
+                              found.end()))
+        << "format=v" << int(format);
+  } else {
+    EXPECT_EQ(found, expected) << "format=v" << int(format);
   }
+
+  AnalysisConfig parallel;
+  parallel.threads = 3;
+  const AnalysisResult alt = Analyze(store.value(), parallel);
+  ASSERT_TRUE(alt.status.ok()) << alt.status.ToString();
+  EXPECT_EQ(RenderText(alt, pc_name), RenderText(base, pc_name))
+      << "format=v" << int(format);
+  EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraces, StreamingPipelineProperty,
                          testing::Range(0, 27));
+
+// ---------------------------------------------------------------------------
+// Deterministic traces for the two shapes the random ones rarely pin down at
+// pc-pair granularity: a race carried only by the last element of a
+// writer-coalesced run, and a race that exists only because a lock was
+// released earlier in the same segment.
+
+std::set<oracle::PcPair> AnalyzeAndCheckOracle(const std::string& dir) {
+  auto store = TraceStore::OpenDir(dir);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return {};
+  const AnalysisResult base = Analyze(store.value());
+  EXPECT_TRUE(base.status.ok()) << base.status.ToString();
+  const std::set<oracle::PcPair> found = oracle::RacePairs(base.races);
+  EXPECT_EQ(found, oracle::RacePairs(store.value()));
+  AnalysisConfig parallel;
+  parallel.threads = 3;
+  const AnalysisResult alt = Analyze(store.value(), parallel);
+  EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
+  return found;
+}
+
+TEST(OracleShapes, RaceOnlyOnLastElementOfCoalescedRun) {
+  TempDir dir("oracle-run-tail");
+  constexpr uint64_t kBase = 0x1000;
+  constexpr uint64_t kStride = 16;
+  constexpr int kCount = 32;
+  EventScript run;
+  for (int i = 0; i < kCount; i++) {
+    run.push_back(trace::RawEvent::Access(
+        kBase + static_cast<uint64_t>(i) * kStride, 8, /*write=*/true, 10));
+  }
+  // Thread 1 touches only the run's last element; the element before it
+  // and the gap after it are 8 bytes clear.
+  const EventScript tail = {trace::RawEvent::Access(
+      kBase + (kCount - 1) * kStride, 8, /*write=*/false, 20)};
+  ASSERT_NO_FATAL_FAILURE(
+      WriteScripts(dir.path(), trace::kTraceFormatV3, {{run}, {tail}}));
+
+  // The writer must have coalesced the sweep, or this is not the shape.
+  auto store = TraceStore::OpenDir(dir.path());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  uint64_t runs = 0;
+  for (const auto& thread : store.value().threads()) {
+    for (const trace::IntervalMeta& meta : thread.meta.intervals) {
+      ASSERT_TRUE(thread.log
+                      ->StreamRange(meta.data_begin, meta.data_size,
+                                    [&](const trace::RawEvent& e) {
+                                      if (e.kind == trace::EventKind::kAccessRun &&
+                                          e.count == kCount) {
+                                        runs++;
+                                      }
+                                    })
+                      .ok());
+    }
+  }
+  ASSERT_EQ(runs, 1u);
+
+  EXPECT_EQ(AnalyzeAndCheckOracle(dir.path()),
+            (std::set<oracle::PcPair>{{10, 20}}));
+}
+
+TEST(OracleShapes, ReleaseEndsLockProtectionWithinSegment) {
+  constexpr uint64_t kX = 0x2000;
+  constexpr uint32_t kLock = 1;
+  // Thread 0 writes x under the lock (pc 10), releases it, then writes x
+  // again unprotected (pc 11); thread 1 writes x under the same lock.
+  const EventScript t0 = {trace::RawEvent::MutexAcquire(kLock),
+                          trace::RawEvent::Access(kX, 8, true, 10),
+                          trace::RawEvent::MutexRelease(kLock),
+                          trace::RawEvent::Access(kX, 8, true, 11)};
+  const EventScript t1 = {trace::RawEvent::MutexAcquire(kLock),
+                          trace::RawEvent::Access(kX, 8, true, 20),
+                          trace::RawEvent::MutexRelease(kLock)};
+  for (uint8_t format :
+       {trace::kTraceFormatV1, trace::kTraceFormatV2, trace::kTraceFormatV3}) {
+    TempDir dir("oracle-release");
+    ASSERT_NO_FATAL_FAILURE(WriteScripts(dir.path(), format, {{t0}, {t1}}));
+    EXPECT_EQ(AnalyzeAndCheckOracle(dir.path()),
+              (std::set<oracle::PcPair>{{11, 20}}))
+        << "format=v" << int(format);
+  }
+}
 
 }  // namespace
 }  // namespace sword::offline

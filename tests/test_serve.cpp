@@ -18,6 +18,7 @@
 #include "common/fsutil.h"
 #include "harness/harness.h"
 #include "offline/analysis.h"
+#include "offline/journal.h"
 #include "offline/tracestore.h"
 #include "serve/admission.h"
 #include "serve/aggregate.h"
@@ -25,6 +26,8 @@
 #include "serve/ingest.h"
 #include "serve/ledger.h"
 #include "serve/service.h"
+
+#include "journal_v4.h"
 
 namespace sword {
 namespace {
@@ -597,6 +600,52 @@ TEST(Service, CorruptJournalResetOnceThenRunSucceeds) {
   EXPECT_EQ(stats.runs_done, 1u);
   EXPECT_EQ(stats.runs_quarantined, 0u);
   EXPECT_EQ(stats.journal_resets, 1u);
+}
+
+TEST(Service, V4JournalResetOnceThenReanalyzesToSameRaces) {
+  // A journal whose header is v4 - what a daemon from before the v5 bump
+  // left behind for this very trace - is refused as unsupported, reset
+  // exactly once, and the run re-analyzed fresh to the same races.
+  TempDir traces;
+  TempDir first_state;
+  TempDir second_state;
+  const std::string run = traces.path() + "/run1";
+  ASSERT_TRUE(MakeDirs(run).ok());
+  MakeTrace(run);
+
+  uint64_t first_races = 0;
+  offline::JournalHeader header;
+  {
+    serve::AnalysisService service(FastService(first_state.path()));
+    ASSERT_TRUE(service.Recover().ok());
+    ASSERT_TRUE(service.AddRun(run).ok());
+    service.Drain(1000);
+    ASSERT_EQ(service.Stats().runs_done, 1u);
+    ASSERT_EQ(service.Runs().size(), 1u);
+    first_races = service.Runs()[0].races;
+    auto journal = offline::LoadJournal(first_state.path() + "/journal_run1.journal");
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    header = journal.value().header;
+  }
+  ASSERT_GT(first_races, 0u);
+
+  const std::string journal_path = second_state.path() + "/journal_run1.journal";
+  ASSERT_TRUE(WriteFile(journal_path, offline::EncodeV4JournalHeader(header)).ok());
+  serve::AnalysisService service(FastService(second_state.path()));
+  ASSERT_TRUE(service.Recover().ok());
+  ASSERT_TRUE(service.AddRun(run).ok());
+  service.Drain(1000);
+
+  const auto stats = service.Stats();
+  EXPECT_EQ(stats.runs_done, 1u);
+  EXPECT_EQ(stats.runs_quarantined, 0u);
+  EXPECT_EQ(stats.journal_resets, 1u);
+  ASSERT_EQ(service.Runs().size(), 1u);
+  EXPECT_EQ(service.Runs()[0].races, first_races);
+  // The fresh analysis journaled in the current version.
+  auto rewritten = offline::LoadJournal(journal_path);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  EXPECT_TRUE(rewritten.value().header == header);
 }
 
 TEST(Service, LedgerEnospcDegradesNeverBlocksVerdicts) {

@@ -12,6 +12,7 @@
 #include "offline/analysis.h"
 #include "offline/report.h"
 #include "offline/tracestore.h"
+#include "journal_v4.h"
 #include "somp/instr.h"
 #include "somp/runtime.h"
 
@@ -131,6 +132,15 @@ TEST_F(ToolsTest, OfflineToolRejectsBadInput) {
   const auto [rc2, out2] =
       RunCommand(ToolPath("sword-offline") + " " + dir_.path() + " --bogus-flag");
   EXPECT_EQ(rc2, 1) << out2;
+  // The analyzer has one pipeline; its former ablation flags are unknown.
+  for (const char* flag : {"--no-sweep", "--no-fastpath", "--no-stream",
+                           "--no-symbolic", "--no-dedup"}) {
+    const auto [rc3, out3] = RunCommand(ToolPath("sword-offline") + " " +
+                                        dir_.path() + " " + flag);
+    EXPECT_EQ(rc3, 1) << flag << ": " << out3;
+    EXPECT_NE(out3.find(std::string("unknown flag ") + flag), std::string::npos)
+        << out3;
+  }
 }
 
 TEST_F(ToolsTest, OfflineToolValidatesFlagCombinations) {
@@ -192,23 +202,22 @@ TEST_F(ToolsTest, OfflineToolRefusesResumeAcrossSalvageModes) {
   EXPECT_EQ(rc_ok, 2) << out_ok;
 }
 
-TEST_F(ToolsTest, OfflineToolRefusesResumeAcrossStreamingModes) {
-  // Journal v4 binds the streaming-pipeline knobs the same way it binds the
-  // salvage policy: a journal written with the streaming defaults must not
-  // replay under --no-stream/--no-symbolic/--no-dedup (or the reverse).
+TEST_F(ToolsTest, OfflineToolRefusesV4Journal) {
+  // A journal left by a build whose header still carried the pipeline
+  // knobs (v4) fails the resume as an analysis error; a fresh --journal
+  // replaces it and resumes normally.
   const std::string base = ToolPath("sword-offline") + " " + dir_.path();
+  const std::string path = dir_.path() + "/sword_analysis_0of1.journal";
+  ASSERT_TRUE(WriteFile(path, offline::EncodeV4JournalHeader({})).ok());
+  const auto [rc, out] = RunCommand(base + " --resume");
+  EXPECT_EQ(rc, 4) << out;
+  EXPECT_NE(out.find("journal version 4"), std::string::npos) << out;
+
   const auto [rc_j, out_j] = RunCommand(base + " --journal");
   EXPECT_EQ(rc_j, 2) << out_j;
-
-  for (const char* flag : {"--no-stream", "--no-symbolic", "--no-dedup"}) {
-    const auto [rc, out] = RunCommand(base + " --resume " + flag);
-    EXPECT_EQ(rc, 1) << flag << ": " << out;
-    EXPECT_NE(out.find("mismatched statistics"), std::string::npos)
-        << flag << ": " << out;
-  }
-
   const auto [rc_ok, out_ok] = RunCommand(base + " --resume");
   EXPECT_EQ(rc_ok, 2) << out_ok;
+  EXPECT_EQ(out_ok, out_j);
 }
 
 TEST_F(ToolsTest, RunToolListsAndRuns) {
