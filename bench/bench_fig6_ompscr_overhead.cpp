@@ -295,7 +295,7 @@ int main(int argc, char** argv) {
                        suite, w->name.c_str());
           pf_identity_ok = false;
         }
-        if (races_on < w->total_races) {
+        if (races_on < static_cast<uint64_t>(w->total_races)) {
           std::fprintf(stderr,
                        "pre-filter SOUNDNESS failure on %s/%s: %llu < %llu "
                        "ground-truth race(s)\n",

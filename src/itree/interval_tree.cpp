@@ -7,45 +7,34 @@ namespace sword::itree {
 
 IntervalTree::IntervalTree() { nodes_.reserve(64); }
 
-namespace {
-
-/// Erases map[key] only when it currently maps to `id`; the summarization
-/// indexes use best-effort emplace, so a slot may belong to another node.
-template <typename Map, typename Key>
-void EraseIfMapsTo(Map& map, const Key& key, uint32_t id) {
-  auto it = map.find(key);
-  if (it != map.end() && it->second == id) map.erase(it);
-}
-
-}  // namespace
-
 uint32_t IntervalTree::AddAccess(uint64_t addr, const AccessKey& key) {
   total_accesses_++;
 
+  const ContKey here{addr, key};
+
   // 1. Repeated access to a run's most recent address: fold without growing.
-  if (auto dup = last_addr_.find(ContKey{addr, key}); dup != last_addr_.end()) {
-    nodes_[dup->second].payload.hits++;
-    return dup->second;
+  if (const uint32_t dup = last_addr_.Find(here); dup != kNil) {
+    nodes_[dup].payload.hits++;
+    return dup;
   }
 
   // 2. Continuation of an established run: addr is exactly the next element.
-  if (auto it = continuations_.find(ContKey{addr, key}); it != continuations_.end()) {
-    const uint32_t id = it->second;
+  // A found entry is removed here and re-registered at the run's new end.
+  if (const uint32_t id = continuations_.Erase(here); id != kNil) {
     Node& n = nodes_[id];
     auto& iv = n.payload.interval;
-    EraseIfMapsTo(last_addr_, ContKey{iv.base + iv.stride * (iv.count - 1), key}, id);
+    last_addr_.EraseIfMapsTo(ContKey{iv.base + iv.stride * (iv.count - 1), key}, id);
     if (iv.count == 1) {
       // This continuation was registered at base+size (unit element walk).
       iv.stride = addr - iv.base;
       iv.count = 2;
-      open_single_.erase(key);
+      open_single_.Erase(key);
     } else {
       iv.count++;
     }
     n.payload.hits++;
-    continuations_.erase(it);
-    continuations_.emplace(ContKey{iv.base + iv.stride * iv.count, key}, id);
-    last_addr_.emplace(ContKey{addr, key}, id);
+    continuations_.InsertIfAbsent(ContKey{iv.base + iv.stride * iv.count, key}, id);
+    last_addr_.InsertIfAbsent(here, id);
     PropagateMaxHi(id);
     return id;
   }
@@ -53,33 +42,31 @@ uint32_t IntervalTree::AddAccess(uint64_t addr, const AccessKey& key) {
   // 3. Second element of an arbitrary-stride ascending walk: the most recent
   // single-access node with this key adopts stride = addr - base. The
   // resulting interval covers exactly {base, addr}, so this is sound even if
-  // the two accesses were unrelated.
-  if (auto os = open_single_.find(key); os != open_single_.end()) {
-    const uint32_t id = os->second;
+  // the two accesses were unrelated. Either way the open single is consumed.
+  if (const uint32_t id = open_single_.Erase(key); id != kNil) {
     Node& n = nodes_[id];
     auto& iv = n.payload.interval;
     if (addr > iv.base) {
-      EraseIfMapsTo(continuations_, ContKey{iv.base + key.size, key}, id);
-      EraseIfMapsTo(last_addr_, ContKey{iv.base, key}, id);
+      continuations_.EraseIfMapsTo(ContKey{iv.base + key.size, key}, id);
+      last_addr_.EraseIfMapsTo(ContKey{iv.base, key}, id);
       iv.stride = addr - iv.base;
       iv.count = 2;
       n.payload.hits++;
-      open_single_.erase(os);
-      continuations_.emplace(ContKey{iv.base + iv.stride * 2, key}, id);
-      last_addr_.emplace(ContKey{addr, key}, id);
+      continuations_.InsertIfAbsent(ContKey{iv.base + iv.stride * 2, key}, id);
+      last_addr_.InsertIfAbsent(here, id);
       PropagateMaxHi(id);
       return id;
     }
-    // Descending access: leave the old node single and start a new one.
-    open_single_.erase(os);
+    // Descending access: the old node stays single; start a new one.
   }
 
-  // 4. Fresh node.
+  // 4. Fresh node. No open single carries this key any more (branch 3
+  // consumed it), so the insert below always takes.
   const uint32_t id = InsertNode(ilp::StridedInterval{addr, 0, 1, key.size}, key);
   nodes_[id].payload.hits = 1;
-  continuations_.emplace(ContKey{addr + key.size, key}, id);
-  last_addr_.emplace(ContKey{addr, key}, id);
-  open_single_[key] = id;
+  continuations_.InsertIfAbsent(ContKey{addr + key.size, key}, id);
+  last_addr_.InsertIfAbsent(here, id);
+  open_single_.InsertIfAbsent(key, id);
   return id;
 }
 
@@ -105,18 +92,17 @@ uint32_t IntervalTree::AddRun(uint64_t base, uint64_t stride, uint64_t count,
   // continuation and last-address index entries to the run's new end, and
   // bump the counters once.
   const auto& iv = nodes_[id].payload.interval;
-  const auto kn = key_nodes_.find(key);
   if (id == first && iv.base == base && iv.stride == stride && iv.count == 2 &&
-      kn != key_nodes_.end() && kn->second == 1) {
+      key_nodes_.GetOrZero(key) == 1) {
     const uint64_t extra = count - 2;
-    EraseIfMapsTo(continuations_, ContKey{base + 2 * stride, key}, id);
-    EraseIfMapsTo(last_addr_, ContKey{base + stride, key}, id);
+    continuations_.EraseIfMapsTo(ContKey{base + 2 * stride, key}, id);
+    last_addr_.EraseIfMapsTo(ContKey{base + stride, key}, id);
     auto& run = nodes_[id].payload;
     run.interval.count = count;
     run.hits += extra;
     total_accesses_ += extra;
-    continuations_.emplace(ContKey{base + stride * count, key}, id);
-    last_addr_.emplace(ContKey{base + stride * (count - 1), key}, id);
+    continuations_.InsertIfAbsent(ContKey{base + stride * count, key}, id);
+    last_addr_.InsertIfAbsent(ContKey{base + stride * (count - 1), key}, id);
     PropagateMaxHi(id);
     return id;
   }
@@ -142,7 +128,7 @@ uint32_t IntervalTree::InsertNode(const ilp::StridedInterval& interval,
   zn.payload.interval = interval;
   zn.payload.key = key;
   zn.max_hi = interval.hi();
-  key_nodes_[key]++;
+  ++key_nodes_.InsertIfAbsent(key, 0);
 
   // Standard BST insert ordered by first byte (ties go right).
   uint32_t y = kNil;
@@ -308,8 +294,9 @@ void IntervalTree::ForEach(FunctionRef<void(const AccessNode&)> fn) const {
 }
 
 uint64_t IntervalTree::MemoryBytes() const {
-  return nodes_.capacity() * sizeof(Node) +
-         continuations_.size() * (sizeof(ContKey) + sizeof(uint32_t) + 16);
+  return nodes_.capacity() * sizeof(Node) + continuations_.MemoryBytes() +
+         last_addr_.MemoryBytes() + open_single_.MemoryBytes() +
+         key_nodes_.MemoryBytes();
 }
 
 bool IntervalTree::Validate(std::string* why) const {

@@ -13,16 +13,20 @@
 // O(log N + answer) - the paper's O(M log M) tree-vs-tree comparison.
 //
 // Nodes live in a flat arena (indices, not pointers): rotations relink
-// indices and never move nodes, so continuation handles stay valid.
+// indices and never move nodes, so continuation handles stay valid. The
+// summarization indexes are flat open-addressing tables (FlatIndex) keyed
+// by (access key, address) or access key, so the per-access index work
+// touches slot arrays in place and never allocates, except when an index
+// doubles.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/function_ref.h"
 #include "ilp/overlap.h"
+#include "itree/flat_index.h"
 #include "itree/mutexset.h"
 
 namespace sword::itree {
@@ -76,19 +80,27 @@ inline uint64_t HashAccess(uint64_t addr, const AccessKey& key) {
 
 /// (key, address) lookup key for the summarization indexes, shared by the
 /// RB-tree builder and the streaming builder (itree/streaming_builder.h).
+/// It carries its own HashAccess value, computed once at construction: one
+/// access probes up to three indexes with the same key, and a FlatIndex
+/// rereads the hash of every entry it shifts or rehashes. The 32-bit hash
+/// sits in what would otherwise be tail padding.
 struct ContKey {
-  uint64_t addr;
+  ContKey() = default;
+  ContKey(uint64_t a, const AccessKey& k)
+      : addr(a), key(k), hash(static_cast<uint32_t>(HashAccess(a, k))) {}
+
+  uint64_t addr = 0;
   AccessKey key;
+  uint32_t hash = 0;
   friend bool operator==(const ContKey&, const ContKey&) = default;
 };
+static_assert(sizeof(ContKey) == 24, "the cached hash must fit the padding");
 struct ContKeyHash {
-  size_t operator()(const ContKey& k) const {
-    return static_cast<size_t>(HashAccess(k.addr, k.key));
-  }
+  size_t operator()(const ContKey& k) const { return k.hash; }
 };
 struct AccessKeyHash {
   size_t operator()(const AccessKey& k) const {
-    return ContKeyHash{}(ContKey{0, k});
+    return static_cast<size_t>(HashAccess(0, k));
   }
 };
 
@@ -126,7 +138,8 @@ class IntervalTree {
   uint64_t TotalAccesses() const { return total_accesses_; }
   bool Empty() const { return nodes_.empty(); }
 
-  /// Approximate heap footprint (for the memory-accounting benches).
+  /// Heap footprint: node arena plus every summarization index, each at its
+  /// allocated capacity (for the memory-accounting benches).
   uint64_t MemoryBytes() const;
 
   /// Verifies every structural invariant (BST order on lo, red-black
@@ -155,24 +168,26 @@ class IntervalTree {
   void PropagateMaxHi(uint32_t n);
   uint64_t SubtreeMaxHi(uint32_t n) const;
 
-  // Summarization indexes (all O(1) per access):
+  // Summarization indexes (see the file comment):
   //  - continuations_: (key, next expected addr) -> run node; extends
   //    established runs (count >= 2) and unit-walk singles.
   //  - last_addr_: (key, last recorded addr) -> node; folds repeated accesses
   //    to the same location (hits++ without growing the run).
   //  - open_single_: key -> most recent single-access node; lets the second
   //    access of an arbitrary-stride walk fix the stride.
+  //  - key_nodes_: key -> nodes carrying it (never decremented; nodes are
+  //    never removed). AddRun's bulk fast path is only safe when exactly ONE
+  //    node carries the run's key: then no foreign same-key index entry can
+  //    divert any per-element step, so the O(1) bulk extension provably
+  //    equals the element loop.
+  // MemoryBytes() counts every index at its real slot capacity.
   std::vector<Node> nodes_;
   uint32_t root_ = kNil;
   uint64_t total_accesses_ = 0;
-  std::unordered_map<ContKey, uint32_t, ContKeyHash> continuations_;
-  std::unordered_map<ContKey, uint32_t, ContKeyHash> last_addr_;
-  std::unordered_map<AccessKey, uint32_t, AccessKeyHash> open_single_;
-  // Nodes per key (never decremented; nodes are never removed). AddRun's
-  // bulk fast path is only safe when exactly ONE node carries the run's
-  // key: then no foreign same-key index entry can divert any per-element
-  // step, so the O(1) bulk extension provably equals the element loop.
-  std::unordered_map<AccessKey, uint32_t, AccessKeyHash> key_nodes_;
+  FlatIndex<ContKey, ContKeyHash> continuations_;
+  FlatIndex<ContKey, ContKeyHash> last_addr_;
+  FlatIndex<AccessKey, AccessKeyHash> open_single_;
+  FlatIndex<AccessKey, AccessKeyHash> key_nodes_;
 };
 
 }  // namespace sword::itree

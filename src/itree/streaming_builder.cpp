@@ -4,20 +4,6 @@
 
 namespace sword::itree {
 
-namespace {
-
-/// Erases map[key] only when it currently maps to `id` (the summarization
-/// indexes use best-effort emplace, so a slot may belong to another node).
-/// Mirrors interval_tree.cpp's helper - the two builders must keep their
-/// index discipline identical.
-template <typename Map, typename Key>
-void EraseIfMapsTo(Map& map, const Key& key, uint32_t id) {
-  auto it = map.find(key);
-  if (it != map.end() && it->second == id) map.erase(it);
-}
-
-}  // namespace
-
 // The branch structure below is IntervalTree::AddAccess verbatim, minus the
 // tree maintenance: an extension never changes a node's first byte, so the
 // sorted-order bookkeeping only happens in NewNode. Any change here must be
@@ -26,60 +12,60 @@ void EraseIfMapsTo(Map& map, const Key& key, uint32_t id) {
 uint32_t StreamingSetBuilder::AddAccess(uint64_t addr, const AccessKey& key) {
   total_accesses_++;
 
+  const ContKey here{addr, key};
+
   // 1. Repeated access to a run's most recent address: fold without growing.
-  if (auto dup = last_addr_.find(ContKey{addr, key}); dup != last_addr_.end()) {
-    nodes_[dup->second].hits++;
-    return dup->second;
+  if (const uint32_t dup = last_addr_.Find(here); dup != kNil) {
+    nodes_[dup].hits++;
+    return dup;
   }
 
   // 2. Continuation of an established run: addr is exactly the next element.
-  if (auto it = continuations_.find(ContKey{addr, key}); it != continuations_.end()) {
-    const uint32_t id = it->second;
+  // A found entry is removed here and re-registered at the run's new end.
+  if (const uint32_t id = continuations_.Erase(here); id != kNil) {
     AccessNode& n = nodes_[id];
     auto& iv = n.interval;
-    EraseIfMapsTo(last_addr_, ContKey{iv.base + iv.stride * (iv.count - 1), key}, id);
+    last_addr_.EraseIfMapsTo(ContKey{iv.base + iv.stride * (iv.count - 1), key}, id);
     if (iv.count == 1) {
       // This continuation was registered at base+size (unit element walk).
       iv.stride = addr - iv.base;
       iv.count = 2;
-      open_single_.erase(key);
+      open_single_.Erase(key);
     } else {
       iv.count++;
     }
     n.hits++;
-    continuations_.erase(it);
-    continuations_.emplace(ContKey{iv.base + iv.stride * iv.count, key}, id);
-    last_addr_.emplace(ContKey{addr, key}, id);
+    continuations_.InsertIfAbsent(ContKey{iv.base + iv.stride * iv.count, key}, id);
+    last_addr_.InsertIfAbsent(here, id);
     return id;
   }
 
   // 3. Second element of an arbitrary-stride ascending walk: the most recent
-  // single-access node with this key adopts stride = addr - base.
-  if (auto os = open_single_.find(key); os != open_single_.end()) {
-    const uint32_t id = os->second;
+  // single-access node with this key adopts stride = addr - base. Either way
+  // the open single is consumed.
+  if (const uint32_t id = open_single_.Erase(key); id != kNil) {
     AccessNode& n = nodes_[id];
     auto& iv = n.interval;
     if (addr > iv.base) {
-      EraseIfMapsTo(continuations_, ContKey{iv.base + key.size, key}, id);
-      EraseIfMapsTo(last_addr_, ContKey{iv.base, key}, id);
+      continuations_.EraseIfMapsTo(ContKey{iv.base + key.size, key}, id);
+      last_addr_.EraseIfMapsTo(ContKey{iv.base, key}, id);
       iv.stride = addr - iv.base;
       iv.count = 2;
       n.hits++;
-      open_single_.erase(os);
-      continuations_.emplace(ContKey{iv.base + iv.stride * 2, key}, id);
-      last_addr_.emplace(ContKey{addr, key}, id);
+      continuations_.InsertIfAbsent(ContKey{iv.base + iv.stride * 2, key}, id);
+      last_addr_.InsertIfAbsent(here, id);
       return id;
     }
-    // Descending access: leave the old node single and start a new one.
-    open_single_.erase(os);
+    // Descending access: the old node stays single; start a new one.
   }
 
-  // 4. Fresh node.
+  // 4. Fresh node. No open single carries this key any more (branch 3
+  // consumed it), so the insert below always takes.
   const uint32_t id = NewNode(ilp::StridedInterval{addr, 0, 1, key.size}, key);
   nodes_[id].hits = 1;
-  continuations_.emplace(ContKey{addr + key.size, key}, id);
-  last_addr_.emplace(ContKey{addr, key}, id);
-  open_single_[key] = id;
+  continuations_.InsertIfAbsent(ContKey{addr + key.size, key}, id);
+  last_addr_.InsertIfAbsent(here, id);
+  open_single_.InsertIfAbsent(key, id);
   return id;
 }
 
@@ -104,18 +90,17 @@ uint32_t StreamingSetBuilder::AddRun(uint64_t base, uint64_t stride,
   // take the continuation branch on this exact node. Apply the loop's net
   // effect in O(1).
   const auto& iv = nodes_[id].interval;
-  const auto kn = key_nodes_.find(key);
   if (id == first && iv.base == base && iv.stride == stride && iv.count == 2 &&
-      kn != key_nodes_.end() && kn->second == 1) {
+      key_nodes_.GetOrZero(key) == 1) {
     const uint64_t extra = count - 2;
-    EraseIfMapsTo(continuations_, ContKey{base + 2 * stride, key}, id);
-    EraseIfMapsTo(last_addr_, ContKey{base + stride, key}, id);
+    continuations_.EraseIfMapsTo(ContKey{base + 2 * stride, key}, id);
+    last_addr_.EraseIfMapsTo(ContKey{base + stride, key}, id);
     AccessNode& run = nodes_[id];
     run.interval.count = count;
     run.hits += extra;
     total_accesses_ += extra;
-    continuations_.emplace(ContKey{base + stride * count, key}, id);
-    last_addr_.emplace(ContKey{base + stride * (count - 1), key}, id);
+    continuations_.InsertIfAbsent(ContKey{base + stride * count, key}, id);
+    last_addr_.InsertIfAbsent(ContKey{base + stride * (count - 1), key}, id);
     return id;
   }
 
@@ -131,7 +116,7 @@ uint32_t StreamingSetBuilder::NewNode(const ilp::StridedInterval& interval,
   node.interval = interval;
   node.key = key;
   nodes_.push_back(node);
-  key_nodes_[key]++;
+  ++key_nodes_.InsertIfAbsent(key, 0);
   // Sorted-append or spill. A node's first byte is immutable, so comparing
   // against the LAST in-order node is enough: program-order address walks
   // keep extending the main sequence; only genuine back-jumps spill.
@@ -147,7 +132,8 @@ uint32_t StreamingSetBuilder::NewNode(const ilp::StridedInterval& interval,
 uint64_t StreamingSetBuilder::MemoryBytes() const {
   return nodes_.capacity() * sizeof(AccessNode) +
          (order_.capacity() + spill_.capacity()) * sizeof(uint32_t) +
-         continuations_.size() * (sizeof(ContKey) + sizeof(uint32_t) + 16);
+         continuations_.MemoryBytes() + last_addr_.MemoryBytes() +
+         open_single_.MemoryBytes() + key_nodes_.MemoryBytes();
 }
 
 FrozenIntervalSet StreamingSetBuilder::Freeze() const {
@@ -180,16 +166,15 @@ FrozenIntervalSet StreamingSetBuilder::Freeze() const {
 void StreamingSetBuilder::Reset() {
   nodes_.clear();
   nodes_.shrink_to_fit();
-  nodes_.reserve(64);
   order_.clear();
   order_.shrink_to_fit();
   spill_.clear();
   spill_.shrink_to_fit();
   total_accesses_ = 0;
-  continuations_.clear();
-  last_addr_.clear();
-  open_single_.clear();
-  key_nodes_.clear();
+  continuations_.Clear();
+  last_addr_.Clear();
+  open_single_.Clear();
+  key_nodes_.Clear();
 }
 
 }  // namespace sword::itree

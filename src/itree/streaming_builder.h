@@ -28,13 +28,17 @@
 // Per-event cost drops from O(depth) (the tree pays a root-ward max-hi
 // propagation on EVERY access, even O(1) continuations) to amortized O(1),
 // and per-node memory from sizeof(IntervalTree::Node) (payload + three
-// links, a color, and an augmentation word) to sizeof(AccessNode).
+// links, a color, and an augmentation word) to sizeof(AccessNode). The
+// summarization indexes are FlatIndex tables (itree/flat_index.h), so the
+// per-event path - in practice almost always the continuation branch -
+// rewrites slots in place and never allocates; storage grows only when a
+// node arena or an index doubles, and nothing is reserved up front.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "itree/flat_index.h"
 #include "itree/frozen_set.h"
 #include "itree/interval_tree.h"
 
@@ -42,8 +46,6 @@ namespace sword::itree {
 
 class StreamingSetBuilder {
  public:
-  StreamingSetBuilder() { nodes_.reserve(64); }
-
   /// Records one access. Identical summarization semantics (node ids, hit
   /// counts, interval shapes) to IntervalTree::AddAccess.
   uint32_t AddAccess(uint64_t addr, const AccessKey& key);
@@ -61,9 +63,10 @@ class StreamingSetBuilder {
   size_t SpillCount() const { return spill_.size(); }
   uint64_t SpillBytes() const { return spill_.capacity() * sizeof(uint32_t); }
 
-  /// Approximate heap footprint, same accounting shape as
-  /// IntervalTree::MemoryBytes so the memory governor treats both builds
-  /// uniformly.
+  /// Heap footprint: node arena, order and spill buffers, and every
+  /// summarization index at its allocated slot capacity - the same
+  /// accounting shape as IntervalTree::MemoryBytes, so the memory governor
+  /// treats both builds uniformly.
   uint64_t MemoryBytes() const;
 
   /// Produces the frozen comparison form: sorts the spill, merges by
@@ -85,10 +88,10 @@ class StreamingSetBuilder {
   std::vector<uint32_t> spill_;    // out-of-order ids, sorted at Freeze()
   uint64_t total_accesses_ = 0;
   // The same four summarization indexes as IntervalTree (see its header).
-  std::unordered_map<ContKey, uint32_t, ContKeyHash> continuations_;
-  std::unordered_map<ContKey, uint32_t, ContKeyHash> last_addr_;
-  std::unordered_map<AccessKey, uint32_t, AccessKeyHash> open_single_;
-  std::unordered_map<AccessKey, uint32_t, AccessKeyHash> key_nodes_;
+  FlatIndex<ContKey, ContKeyHash> continuations_;
+  FlatIndex<ContKey, ContKeyHash> last_addr_;
+  FlatIndex<AccessKey, AccessKeyHash> open_single_;
+  FlatIndex<AccessKey, AccessKeyHash> key_nodes_;
 };
 
 }  // namespace sword::itree

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_map>
 
 #include "common/rng.h"
+#include "itree/flat_index.h"
 #include "itree/frozen_set.h"
 #include "itree/interval_tree.h"
 #include "itree/mutexset.h"
@@ -459,31 +461,40 @@ TEST(StreamingSetBuilder, RunShapesMatchTree) {
 
 TEST(StreamingSetBuilder, RandomizedStreamsMatchTreeExactly) {
   // The load-bearing equivalence test: arbitrary interleavings of accesses
-  // and runs, few keys (maximizing continuation/open-single interactions),
-  // ascending and descending jumps, duplicate folds.
-  for (uint64_t seed = 1; seed <= 20; seed++) {
-    Rng rng(seed);
-    StreamingSetBuilder builder;
-    IntervalTree tree;
-    for (int i = 0; i < 2000; i++) {
-      const AccessKey key = Key(static_cast<uint32_t>(rng.Below(4)),
-                                rng.Chance(0.5) ? kWrite : kRead,
-                                static_cast<uint8_t>(1 + rng.Below(8)));
-      if (rng.Chance(0.2)) {
-        const uint64_t base = 0x10000 + rng.Below(0x8000);
-        const uint64_t stride = rng.Below(64);
-        const uint64_t count = rng.Below(40);
-        builder.AddRun(base, stride, count, key);
-        tree.AddRun(base, stride, count, key);
-      } else {
-        const uint64_t addr = 0x10000 + rng.Below(0x4000);
-        builder.AddAccess(addr, key);
-        tree.AddAccess(addr, key);
+  // and runs, ascending and descending jumps, duplicate folds. Seeds 1-20
+  // use few keys (maximizing continuation/open-single interactions) over a
+  // wide address range; seeds 21-30 use many keys over a narrow one, so the
+  // summarization indexes hold many live entries and addresses are
+  // re-visited densely.
+  struct Shape {
+    uint64_t seed_lo, seed_hi, keys, access_span, run_span;
+  };
+  const Shape shapes[] = {{1, 20, 4, 0x4000, 0x8000}, {21, 30, 64, 0x200, 0x400}};
+  for (const Shape& shape : shapes) {
+    for (uint64_t seed = shape.seed_lo; seed <= shape.seed_hi; seed++) {
+      Rng rng(seed);
+      StreamingSetBuilder builder;
+      IntervalTree tree;
+      for (int i = 0; i < 2000; i++) {
+        const AccessKey key = Key(static_cast<uint32_t>(rng.Below(shape.keys)),
+                                  rng.Chance(0.5) ? kWrite : kRead,
+                                  static_cast<uint8_t>(1 + rng.Below(8)));
+        if (rng.Chance(0.2)) {
+          const uint64_t base = 0x10000 + rng.Below(shape.run_span);
+          const uint64_t stride = rng.Below(64);
+          const uint64_t count = rng.Below(40);
+          builder.AddRun(base, stride, count, key);
+          tree.AddRun(base, stride, count, key);
+        } else {
+          const uint64_t addr = 0x10000 + rng.Below(shape.access_span);
+          builder.AddAccess(addr, key);
+          tree.AddAccess(addr, key);
+        }
       }
+      ASSERT_EQ(builder.NodeCount(), tree.NodeCount()) << "seed " << seed;
+      ASSERT_EQ(builder.TotalAccesses(), tree.TotalAccesses()) << "seed " << seed;
+      ExpectFrozenEqual(builder.Freeze(), FrozenIntervalSet(tree));
     }
-    ASSERT_EQ(builder.NodeCount(), tree.NodeCount()) << "seed " << seed;
-    ASSERT_EQ(builder.TotalAccesses(), tree.TotalAccesses()) << "seed " << seed;
-    ExpectFrozenEqual(builder.Freeze(), FrozenIntervalSet(tree));
   }
 }
 
@@ -518,6 +529,85 @@ TEST(StreamingSetBuilder, SymbolicRunMemoryIsSublinearInElements) {
   EXPECT_EQ(large.NodeCount(), 1u);
   EXPECT_EQ(small.MemoryBytes(), large.MemoryBytes());
   EXPECT_EQ(large.TotalAccesses(), 1000000u);
+}
+
+// --- FlatIndex: every operation the builders use, checked step by step
+// against std::unordered_map under seeded random sequences.
+
+struct SpreadHash {
+  size_t operator()(uint64_t k) const {
+    return static_cast<size_t>(HashAccess(k, AccessKey{}));
+  }
+};
+
+// Every key's home is one of the LAST four slots, whatever the capacity:
+// probe chains wrap past the array end, backward shifts move entries across
+// the wrap, and growth is triggered while inserting into a long chain.
+struct WrapHash {
+  size_t operator()(uint64_t k) const { return ~size_t{0} - (k & 3); }
+};
+
+template <typename Hash>
+void ExpectIndexMatchesMap(uint64_t seed, uint64_t key_range) {
+  Rng rng(seed);
+  FlatIndex<uint64_t, Hash> index;
+  std::unordered_map<uint64_t, uint32_t> ref;
+  constexpr uint32_t kNil = FlatIndex<uint64_t, Hash>::kNil;
+  for (int step = 0; step < 20000; step++) {
+    const uint64_t k = rng.Below(key_range);
+    const uint32_t v = static_cast<uint32_t>(rng.Below(8));
+    const auto it = ref.find(k);
+    const uint32_t expected = it == ref.end() ? kNil : it->second;
+    switch (rng.Below(6)) {
+      case 0:
+        ASSERT_EQ(index.Find(k), expected) << "seed " << seed << " step " << step;
+        break;
+      case 1:
+        ASSERT_EQ(index.GetOrZero(k), it == ref.end() ? 0u : it->second);
+        break;
+      case 2:
+        ASSERT_EQ(index.InsertIfAbsent(k, v), ref.emplace(k, v).first->second);
+        break;
+      case 3:  // the per-key counter idiom: ++InsertIfAbsent(k, 0)
+        ASSERT_EQ(++index.InsertIfAbsent(k, 0), ++ref[k]);
+        break;
+      case 4:
+        ASSERT_EQ(index.Erase(k), expected);
+        ref.erase(k);
+        break;
+      case 5:
+        index.EraseIfMapsTo(k, v);
+        if (expected == v) ref.erase(k);
+        break;
+    }
+    ASSERT_EQ(index.size(), ref.size()) << "seed " << seed << " step " << step;
+    if (step % 512 == 0) {
+      for (uint64_t q = 0; q < key_range; q++) {
+        const auto r = ref.find(q);
+        ASSERT_EQ(index.Find(q), r == ref.end() ? kNil : r->second) << q;
+      }
+    }
+  }
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.MemoryBytes(), 0u);
+  EXPECT_EQ(index.Find(0), kNil);
+}
+
+TEST(FlatIndex, RandomOpsMatchUnorderedMap) {
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    // Small key ranges keep the table dense with re-visits; the larger one
+    // drives several doublings.
+    ExpectIndexMatchesMap<SpreadHash>(seed, 16);
+    ExpectIndexMatchesMap<SpreadHash>(seed, 1000);
+  }
+}
+
+TEST(FlatIndex, CollidingHashWrapsShiftsAndGrowsMidChain) {
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    ExpectIndexMatchesMap<WrapHash>(seed, 12);
+    ExpectIndexMatchesMap<WrapHash>(seed, 200);
+  }
 }
 
 TEST(HashAccess, MutexSetReachesLow32Bits) {

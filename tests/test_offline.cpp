@@ -728,17 +728,24 @@ TEST(Analysis, MemoryCapAbandonsBucketHonestly) {
 
 TEST(Analysis, DeadlineWatchdogAbortsOnlyThatBucket) {
   SyntheticTrace t;
-  // Region 0: three heavyweight groups (200k events each) whose build alone
-  // takes far longer than the deadline. Region 1: a two-event race that
-  // finishes far inside it.
+  // Region 0: three groups whose comparison is quadratic by construction.
+  // Each group writes ONE address from kNodes distinct pcs, so no two
+  // accesses summarize into one node and every node of one group overlaps
+  // every node of another: each of the three concurrent group pairs ranges
+  // kNodes^2 candidate pairs, seconds of checking however fast the builder
+  // or checker gets. A common lock keeps every pair race-free, so nothing
+  // but time distinguishes the bucket. Region 1: a two-event race that
+  // finishes far inside the deadline.
+  constexpr uint32_t kNodes = 8000;
   std::vector<std::pair<trace::IntervalMeta, std::vector<trace::RawEvent>>> segs[3];
   for (uint32_t tid = 0; tid < 3; tid++) {
     trace::IntervalMeta heavy = Meta(tid, 3);
     heavy.label = osl::Label({osl::Pair{0, 1, 0}, osl::Pair{tid, 3, 0}});
     std::vector<trace::RawEvent> events;
-    events.reserve(200000);
-    for (uint64_t i = 0; i < 200000; i++) {
-      events.push_back(trace::RawEvent::Access(0x10000 + i * 8, 8, 1, 10 + tid));
+    events.reserve(kNodes + 1);
+    events.push_back(trace::RawEvent::MutexAcquire(7));
+    for (uint32_t i = 0; i < kNodes; i++) {
+      events.push_back(trace::RawEvent::Access(0x10000, 8, 1, 1000 + tid * kNodes + i));
     }
     segs[tid].push_back({heavy, events});
   }
@@ -752,12 +759,12 @@ TEST(Analysis, DeadlineWatchdogAbortsOnlyThatBucket) {
   for (uint32_t tid = 0; tid < 3; tid++) t.WriteThread(tid, segs[tid]);
 
   AnalysisConfig config;
-  // The heavy bucket's build takes hundreds of milliseconds, so any
-  // deadline well below that breaches it reliably; the light bucket is two
-  // events and finishes in microseconds. 50ms leaves the light bucket real
-  // headroom on a loaded CI machine (parallel ctest) without letting the
-  // heavy bucket slip under. Sanitizer builds run the light bucket an
-  // order of magnitude slower still; widen the deadline further there.
+  // The heavy bucket takes seconds, so any deadline well below that
+  // breaches it reliably; the light bucket is two events and finishes in
+  // microseconds. 50ms leaves the light bucket real headroom on a loaded CI
+  // machine (parallel ctest) without letting the heavy bucket slip under.
+  // Sanitizer builds run the light bucket an order of magnitude slower
+  // still; widen the deadline further there.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
   config.bucket_deadline_ms = 200;
 #elif defined(__has_feature)
