@@ -4,7 +4,8 @@
 // bounded-memory log collection:
 //  - each SWORD thread (one per OS thread that ever executes parallel work)
 //    owns a ThreadTraceWriter with a FIXED 2 MB buffer; full buffers are
-//    compressed and flushed asynchronously - threads never coordinate;
+//    compressed and flushed asynchronously through the flusher's lock-free
+//    lanes (trace/flusher.h) - threads never coordinate;
 //  - OMPT-style callbacks delimit barrier-interval segments, each emitted as
 //    one meta-file record (Table I) carrying the offset-span label;
 //  - instrumented accesses and mutex acquire/release become 16-byte log
@@ -12,8 +13,10 @@
 //  - total memory is N_threads * (buffer + fixed auxiliary state), the
 //    paper's N*(B+C) formula - independent of application footprint.
 //
-// After the program under test finishes, Finalize() closes all writers and
-// drains the flusher; offline::Analyze (src/offline) then consumes the
+// After the program under test finishes, Finalize() retires every thread's
+// fast-path sink through the QSBR domain (somp::RetireSinks, which falls
+// back to an epoch bump when a thread is still online), closes all writers
+// and drains the flusher; offline::Analyze (src/offline) then consumes the
 // log/meta files.
 #pragma once
 
@@ -40,10 +43,6 @@ struct SwordConfig {
   uint64_t buffer_bytes = 2 * 1024 * 1024;   // per-thread trace buffer
   std::string codec = "lzf";                 // "raw", "rle", "lzs", or "lzf"
   bool async_flush = true;
-  /// Lock-free trace plane (ring-buffer flush lanes, lock-free buffer pool,
-  /// QSBR sink retirement). Ablation: race reports are byte-identical with
-  /// it on or off (`--no-lockfree`); only cross-thread coordination differs.
-  bool lockfree = true;
   uint32_t flush_workers = 0;                // 0 = min(4, hw_concurrency)
   size_t flush_queue_depth = trace::Flusher::kDefaultMaxQueuedJobs;
   uint8_t trace_format = trace::kTraceFormatV3;  // event encoding version

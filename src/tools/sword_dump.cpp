@@ -5,6 +5,9 @@
 //   sword-dump <trace-dir> --verify
 //   sword-dump <trace-dir> --prefilter
 //
+// An unknown flag is a usage error (exit 1), so a typo never silently
+// falls back to the default listing.
+//
 // Prints each thread's meta file as a Table-I-style listing (pid, ppid,
 // bid, offset, span, level, data offsets, offset-span label) and, with
 // --events, the decoded event stream per interval.
@@ -213,7 +216,11 @@ int main(int argc, char** argv) {
   const int64_t only_thread = args.GetInt("thread", -1);
   const int64_t limit = args.GetInt("limit", 32);
 
-  if (args.positional().size() != 1) {
+  const std::vector<std::string> unknown = args.UnknownFlags();
+  for (const auto& flag : unknown) {
+    std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+  }
+  if (args.positional().size() != 1 || !unknown.empty()) {
     std::fprintf(stderr,
                  "usage: sword-dump <trace-dir> [--events] [--thread N] "
                  "[--limit K]\n"

@@ -1,9 +1,10 @@
 // Lock-free trace-plane structures (common/lockfree.h) and their
 // integration: MPMC ring lanes, the lock-free buffer pool, QSBR sink
-// retirement, and the end-to-end property the tentpole rests on - race
-// reports identical between the lock-free plane and the `--no-lockfree`
-// mutex plane. Designed to run under TSan: every cross-thread interaction
-// in the structures is atomics-only, so any TSan report here is a real bug.
+// retirement, and the end-to-end properties the plane must keep - race
+// reports equal to the brute-force oracle (race_oracle.h) on every trace
+// format, and trace files byte-identical to the synchronous flusher's.
+// Designed to run under TSan: every cross-thread interaction in the
+// structures is atomics-only, so any TSan report here is a real bug.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -24,6 +25,7 @@
 #include "core/sword_tool.h"
 #include "offline/analysis.h"
 #include "offline/tracestore.h"
+#include "race_oracle.h"
 #include "somp/instr.h"
 #include "somp/runtime.h"
 #include "somp/sink.h"
@@ -375,41 +377,9 @@ TEST(QsbrStress, NoUseAfterRetire) {
   delete current.load();
 }
 
-// --- BufferPool (lock-free mode) --------------------------------------------
-
-TEST(LockfreeBufferPool, RecyclesAndChargesScopeLikeMutexPool) {
-  MemoryScope mem{"lf-pool"};
-  trace::BufferPool pool(/*max_free=*/1, &mem, /*lockfree=*/true);
-  Bytes a = pool.Acquire(100);
-  Bytes b = pool.Acquire(200);
-  EXPECT_EQ(pool.allocations(), 2u);
-  const uint64_t both = mem.current();
-  EXPECT_GE(both, 300u);
-
-  pool.Release(std::move(a));  // kept, still charged
-  EXPECT_EQ(pool.free_count(), 1u);
-  EXPECT_EQ(mem.current(), both);
-
-  pool.Release(std::move(b));  // list full: freed and un-charged
-  EXPECT_EQ(pool.free_count(), 1u);
-  EXPECT_LT(mem.current(), both);
-
-  Bytes c = pool.Acquire(50);
-  EXPECT_EQ(pool.recycles(), 1u);
-  EXPECT_EQ(pool.allocations(), 2u);
-  EXPECT_TRUE(c.empty());
-  pool.Release(std::move(c));
-}
-
-TEST(LockfreeBufferPool, DestructorReleasesFreeListCharges) {
-  MemoryScope mem{"lf-pool-dtor"};
-  {
-    trace::BufferPool pool(/*max_free=*/4, &mem, /*lockfree=*/true);
-    for (int i = 0; i < 3; i++) pool.Release(pool.Acquire(1024));
-    EXPECT_GT(mem.current(), 0u);
-  }
-  EXPECT_EQ(mem.current(), 0u);
-}
+// --- BufferPool ---------------------------------------------------------------
+// Single-threaded recycle/charge behavior is covered by BufferPoolTest in
+// test_trace; this is the concurrent half.
 
 TEST(LockfreeBufferPool, StatsSnapshotCoherentAtQuiescence) {
   // The satellite fix: the historical accessors could be read mid-update
@@ -417,7 +387,7 @@ TEST(LockfreeBufferPool, StatsSnapshotCoherentAtQuiescence) {
   // return one mutually consistent snapshot; at quiescence the invariant
   // free_count == releases_kept - recycles holds exactly.
   MemoryScope mem{"lf-pool-stats"};
-  trace::BufferPool pool(/*max_free=*/8, &mem, /*lockfree=*/true);
+  trace::BufferPool pool(/*max_free=*/8, &mem);
   std::vector<std::thread> threads;
   for (int t = 0; t < kStressProducers; t++) {
     threads.emplace_back([&, t] {
@@ -444,22 +414,17 @@ TEST(LockfreeBufferPool, StatsSnapshotCoherentAtQuiescence) {
   EXPECT_LE(s.free_count, size_t{8});
 }
 
-// --- Flusher: both coordination planes --------------------------------------
+// --- Flusher lanes ----------------------------------------------------------
 
-class FlusherPlane : public ::testing::TestWithParam<bool> {};
-
-TEST_P(FlusherPlane, PerFileFrameOrderUnderContention) {
-  const bool lockfree = GetParam();
+TEST(FlusherPlane, PerFileFrameOrderUnderContention) {
   TempDir dir("lane-order");
   MemoryScope mem{"lane-order"};
   trace::FlusherConfig fc;
   fc.async = true;
-  fc.lockfree = lockfree;
   fc.workers = 3;
   fc.max_queued_jobs = 2;  // force backpressure
   fc.memory = &mem;
   trace::Flusher flusher(fc);
-  EXPECT_EQ(flusher.lockfree(), lockfree);
 
   constexpr int kProducers = 4;
   constexpr int kFrames = 40;
@@ -479,7 +444,6 @@ TEST_P(FlusherPlane, PerFileFrameOrderUnderContention) {
   ASSERT_TRUE(flusher.status().ok()) << flusher.status().ToString();
 
   const trace::FlusherStats stats = flusher.stats();
-  EXPECT_EQ(stats.lockfree, lockfree);
   EXPECT_EQ(stats.jobs_enqueued, uint64_t(kProducers) * kFrames);
   EXPECT_EQ(stats.jobs_completed, stats.jobs_enqueued);
   EXPECT_EQ(stats.queued_now, 0u);
@@ -502,12 +466,10 @@ TEST_P(FlusherPlane, PerFileFrameOrderUnderContention) {
   }
 }
 
-TEST_P(FlusherPlane, BackpressureBoundsQueueAndCountsStalls) {
-  const bool lockfree = GetParam();
+TEST(FlusherPlane, BackpressureBoundsQueueAndCountsStalls) {
   TempDir dir("lane-bp");
   trace::FlusherConfig fc;
   fc.async = true;
-  fc.lockfree = lockfree;
   fc.workers = 1;
   fc.max_queued_jobs = 2;
   trace::Flusher flusher(fc);
@@ -522,13 +484,11 @@ TEST_P(FlusherPlane, BackpressureBoundsQueueAndCountsStalls) {
   EXPECT_EQ(stats.jobs_completed, 48u);
 }
 
-TEST_P(FlusherPlane, DropAccountingAndGapFramesUnderEnospc) {
-  const bool lockfree = GetParam();
+TEST(FlusherPlane, DropAccountingAndGapFramesUnderEnospc) {
   TempDir dir("lane-drop");
   testing::FaultFile ff;
   trace::FlusherConfig fc;
   fc.async = true;
-  fc.lockfree = lockfree;
   fc.workers = 1;
   fc.backend = &ff;
   fc.retry_backoff_us = 0;
@@ -558,11 +518,6 @@ TEST_P(FlusherPlane, DropAccountingAndGapFramesUnderEnospc) {
   EXPECT_EQ(rec.frames, 1u);
   EXPECT_EQ(rec.events, 16u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothPlanes, FlusherPlane, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Lockfree" : "Mutex";
-                         });
 
 // --- QSBR sink retirement ---------------------------------------------------
 
@@ -595,12 +550,14 @@ TEST(SinkQsbrIntegration, QuiescentFinalizeSkipsEpochBump) {
             32u);
 }
 
-TEST(SinkQsbrIntegration, NoLockfreeFinalizeStillBumpsEpoch) {
+TEST(SinkQsbrIntegration, FinalizeWithOnlineParticipantBumpsEpoch) {
+  // Finalize's epoch-bump fallback has one production trigger: a thread
+  // still online (mid-segment) when Finalize runs, as in the crash drain.
+  // A registered online participant stands in for that thread.
   std::vector<uint64_t> pool(64);
   TempDir dir("qsbr-bump");
   core::SwordConfig sc;
   sc.out_dir = dir.path();
-  sc.lockfree = false;
   core::SwordTool tool(sc);
   somp::RuntimeConfig rc;
   rc.tool = &tool;
@@ -611,11 +568,20 @@ TEST(SinkQsbrIntegration, NoLockfreeFinalizeStillBumpsEpoch) {
       instr::store(pool[ctx.thread_num() * 16 + i], uint64_t{1});
     }
   });
+  auto& domain = somp::SinkQsbr();
+  const uint32_t slot = domain.Register();
+  ASSERT_NE(slot, QsbrDomain::kInvalidSlot);
+  domain.Online(slot);
   const uint64_t epoch_before = somp::CurrentSinkEpoch();
-  ASSERT_TRUE(tool.Finalize().ok());
-  somp::Runtime::Get().Configure({});
+  EXPECT_TRUE(tool.Finalize().ok());
   EXPECT_GT(somp::CurrentSinkEpoch(), epoch_before)
-      << "--no-lockfree keeps the historical stop-the-world invalidation";
+      << "a failed grace must fall back to the stop-the-world invalidation";
+  domain.Quiescent(slot);
+  domain.Unregister(slot);
+  somp::Runtime::Get().Configure({});
+  EXPECT_EQ(tool.EventsLogged() + tool.EventsCoalesced() +
+                tool.EventsSuppressed(),
+            32u);
 }
 
 TEST(SinkQsbrIntegration, OnlineParticipantForcesFallback) {
@@ -632,7 +598,7 @@ TEST(SinkQsbrIntegration, OnlineParticipantForcesFallback) {
   EXPECT_TRUE(somp::RetireSinks());
 }
 
-// --- report identity: lock-free vs mutex plane ------------------------------
+// --- report identity: analyzer vs oracle, async vs sync flusher --------------
 
 struct SweepOp {
   uint64_t offset;
@@ -709,79 +675,69 @@ void RunSweepOp(std::vector<uint64_t>& pool, const SweepOp& op) {
   }
 }
 
-/// Runs the program under SWORD with the given trace format and plane and
-/// returns the race pc-pair SET (lane -> tid scheduling order varies across
-/// runs, so ordered reports are not comparable here; byte identity is
-/// asserted by ScriptedPlaneIdentity below with fixed lane ids).
-std::set<std::pair<uint32_t, uint32_t>> CollectRacePairs(
-    const SweepProgram& p, std::vector<uint64_t>& pool, uint8_t format,
-    bool lockfree) {
-  TempDir dir("plane-sweep");
+/// Runs the program under SWORD with the given trace format, leaving its
+/// trace in `dir`. Lane -> tid scheduling order varies across runs, so only
+/// the race pc-pair SET is comparable; byte identity is asserted by
+/// ScriptedPlaneIdentity below with fixed lane ids.
+void TraceSweepProgram(const SweepProgram& p, std::vector<uint64_t>& pool,
+                       uint8_t format, const std::string& dir) {
   core::SwordConfig sc;
-  sc.out_dir = dir.path();
+  sc.out_dir = dir;
   sc.trace_format = format;
-  sc.lockfree = lockfree;
-  {
-    core::SwordTool tool(sc);
-    somp::RuntimeConfig rc;
-    rc.tool = &tool;
-    somp::Runtime::Get().ResetIds();
-    somp::Runtime::Get().Configure(rc);
-    somp::Parallel(p.lanes, [&](somp::Ctx& ctx) {
-      for (uint32_t phase = 0; phase < p.phases; phase++) {
-        for (const SweepOp& op : p.ops[ctx.thread_num()][phase]) {
-          if (op.lock != ~0u) {
-            ctx.Critical("plane-lock-" + std::to_string(op.lock),
-                         [&] { RunSweepOp(pool, op); });
-          } else {
-            RunSweepOp(pool, op);
-          }
+  core::SwordTool tool(sc);
+  somp::RuntimeConfig rc;
+  rc.tool = &tool;
+  somp::Runtime::Get().ResetIds();
+  somp::Runtime::Get().Configure(rc);
+  somp::Parallel(p.lanes, [&](somp::Ctx& ctx) {
+    for (uint32_t phase = 0; phase < p.phases; phase++) {
+      for (const SweepOp& op : p.ops[ctx.thread_num()][phase]) {
+        if (op.lock != ~0u) {
+          ctx.Critical("plane-lock-" + std::to_string(op.lock),
+                       [&] { RunSweepOp(pool, op); });
+        } else {
+          RunSweepOp(pool, op);
         }
-        if (phase + 1 < p.phases) ctx.Barrier();
       }
-    });
-    EXPECT_TRUE(tool.Finalize().ok());
-    somp::Runtime::Get().Configure({});
-  }
-  auto store = offline::TraceStore::OpenDir(dir.path());
-  EXPECT_TRUE(store.ok());
-  const offline::AnalysisResult result = offline::Analyze(store.value());
-  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-  std::set<std::pair<uint32_t, uint32_t>> out;
-  for (const RaceReport& r : result.races.reports()) {
-    out.insert({std::min(r.pc1, r.pc2), std::max(r.pc1, r.pc2)});
-  }
-  return out;
+      if (phase + 1 < p.phases) ctx.Barrier();
+    }
+  });
+  EXPECT_TRUE(tool.Finalize().ok());
+  somp::Runtime::Get().Configure({});
 }
 
-class PlaneAblation : public ::testing::TestWithParam<int> {};
+class PlaneOracle : public ::testing::TestWithParam<int> {};
 
-TEST_P(PlaneAblation, RaceSetsIdenticalAcrossPlanesAndFormats) {
+TEST_P(PlaneOracle, AnalyzerMatchesOracleOnEveryFormat) {
   Rng rng(62000 + static_cast<uint64_t>(GetParam()));
   const SweepProgram p = GenerateSweepProgram(rng);
   std::vector<uint64_t> pool(16 + 40);
   for (uint8_t format = trace::kTraceFormatV1; format <= trace::kTraceFormatV3;
        format++) {
-    const auto lf = CollectRacePairs(p, pool, format, /*lockfree=*/true);
-    const auto mx = CollectRacePairs(p, pool, format, /*lockfree=*/false);
-    EXPECT_EQ(lf, mx) << "seed " << GetParam() << " format " << int{format}
-                      << ": the coordination plane changed the race set";
+    TempDir dir("plane-sweep");
+    TraceSweepProgram(p, pool, format, dir.path());
+    auto store = offline::TraceStore::OpenDir(dir.path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    const offline::AnalysisResult result = offline::Analyze(store.value());
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(oracle::RacePairs(result.races), oracle::RacePairs(store.value()))
+        << "seed " << GetParam() << " format " << int{format}
+        << ": the analyzer's race set differs from the oracle's";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomSweeps, PlaneAblation, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(RandomSweeps, PlaneOracle, ::testing::Range(0, 6));
 
 /// Byte identity: per-lane scripted writers (tid == lane, so scheduling
-/// cannot reorder anything) pushed through an ASYNC flusher on each plane.
-/// Per-path frame FIFO plus deterministic input means every produced file -
-/// logs and metas - must be byte-for-byte identical between the planes.
-TEST(ScriptedPlaneIdentity, TraceFilesByteIdenticalAcrossPlanes) {
+/// cannot reorder anything) pushed through an ASYNC flusher and through the
+/// synchronous one. Per-path frame FIFO plus deterministic input means every
+/// produced file - logs and metas - must be byte-for-byte identical.
+TEST(ScriptedPlaneIdentity, AsyncTraceFilesByteIdenticalToSync) {
   Rng rng(75000);
   const SweepProgram p = GenerateSweepProgram(rng);
-  auto produce = [&](bool lockfree, const std::string& dir_path) {
+  auto produce = [&](bool async, const std::string& dir_path) {
     trace::FlusherConfig fc;
-    fc.async = true;
-    fc.lockfree = lockfree;
+    fc.async = async;
     fc.workers = 2;
     fc.max_queued_jobs = 4;
     trace::Flusher flusher(fc);
@@ -820,17 +776,17 @@ TEST(ScriptedPlaneIdentity, TraceFilesByteIdenticalAcrossPlanes) {
     flusher.Drain();
     EXPECT_TRUE(flusher.status().ok());
   };
-  TempDir lf_dir("plane-lf"), mx_dir("plane-mx");
-  produce(true, lf_dir.path());
-  produce(false, mx_dir.path());
+  TempDir async_dir("plane-async"), sync_dir("plane-sync");
+  produce(true, async_dir.path());
+  produce(false, sync_dir.path());
   for (uint32_t lane = 0; lane < p.lanes; lane++) {
     for (const char* ext : {".log", ".meta"}) {
       const std::string name = "sword_t" + std::to_string(lane) + ext;
-      auto lf = ReadFileBytes(lf_dir.path() + "/" + name);
-      auto mx = ReadFileBytes(mx_dir.path() + "/" + name);
-      ASSERT_TRUE(lf.ok() && mx.ok()) << name;
-      EXPECT_EQ(lf.value(), mx.value())
-          << name << " differs between the lock-free and mutex planes";
+      auto async_bytes = ReadFileBytes(async_dir.path() + "/" + name);
+      auto sync_bytes = ReadFileBytes(sync_dir.path() + "/" + name);
+      ASSERT_TRUE(async_bytes.ok() && sync_bytes.ok()) << name;
+      EXPECT_EQ(async_bytes.value(), sync_bytes.value())
+          << name << " differs between the async and sync flushers";
     }
   }
 }
