@@ -7,8 +7,8 @@
 //   (default)            the google-benchmark suite below
 //   --quick [--json F]   the online fast-path microbench: per-access ns on
 //                        strided-sweep and reduction workloads, format v3
-//                        default vs ablation (no filter, no coalescer) vs
-//                        v2, with suppressed/coalesced counters. This is the
+//                        default vs ablation (no filter, no coalescer),
+//                        with suppressed/coalesced counters. This is the
 //                        perf-smoke gate's tracing-side metric source.
 //   --contention [--json F]
 //                        the trace-plane coordination sweep: N producers
@@ -49,54 +49,14 @@ namespace {
 
 using namespace sword;
 
-void BM_EventEncode(benchmark::State& state) {
-  Bytes buffer;
-  buffer.reserve(1 << 20);
-  ByteWriter w(&buffer);
-  uint64_t addr = 0x1000;
-  for (auto _ : state) {
-    trace::EncodeEvent(trace::RawEvent::Access(addr, 8, 1, 42), w);
-    addr += 8;
-    if (buffer.size() > (1 << 20) - 16) buffer.clear();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventEncode);
-
-void BM_EventEncodeV2(benchmark::State& state) {
-  // Delta/varint encoding of a strided access stream - the hot loop of every
-  // v2 buffer flush. bytes_per_event is the compression the format itself
-  // provides before the codec ever runs (acceptance: >= 2x vs the 16-byte v1).
-  Bytes buffer;
-  buffer.reserve(1 << 20);
-  ByteWriter w(&buffer);
-  trace::EventCodecState codec_state;
-  uint64_t addr = 0x1000;
-  uint64_t bytes = 0;
-  for (auto _ : state) {
-    const size_t before = buffer.size();
-    trace::EncodeEventV2(trace::RawEvent::Access(addr, 8, 1, 42), codec_state, w);
-    bytes += buffer.size() - before;
-    addr += 8;
-    if (buffer.size() > (1 << 20) - trace::kMaxEventBytesV2) {
-      buffer.clear();
-      codec_state = trace::EventCodecState{};
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["bytes_per_event"] =
-      benchmark::Counter(static_cast<double>(bytes) / state.iterations());
-}
-BENCHMARK(BM_EventEncodeV2);
-
-void BM_EventDecodeV2(benchmark::State& state) {
-  // Decode throughput of the offline reader's v2 hot loop.
+void BM_EventDecodeV3Access(benchmark::State& state) {
+  // Decode throughput of the offline reader's hot loop on plain accesses.
   Bytes buffer;
   ByteWriter w(&buffer);
   trace::EventCodecState enc_state;
   constexpr uint64_t kEvents = 1 << 16;
   for (uint64_t i = 0; i < kEvents; i++) {
-    trace::EncodeEventV2(trace::RawEvent::Access(0x1000 + i * 8, 8, 1, 42),
+    trace::EncodeEventV3(trace::RawEvent::Access(0x1000 + i * 8, 8, 1, 42),
                          enc_state, w);
   }
   for (auto _ : state) {
@@ -105,7 +65,7 @@ void BM_EventDecodeV2(benchmark::State& state) {
     trace::RawEvent e;
     uint64_t n = 0;
     while (!r.AtEnd()) {
-      if (!trace::DecodeEventV2(r, dec_state, &e).ok()) std::abort();
+      if (!trace::DecodeEventV3(r, dec_state, &e).ok()) std::abort();
       n++;
     }
     benchmark::DoNotOptimize(n);
@@ -114,7 +74,7 @@ void BM_EventDecodeV2(benchmark::State& state) {
   state.counters["bytes_per_event"] =
       benchmark::Counter(static_cast<double>(buffer.size()) / kEvents);
 }
-BENCHMARK(BM_EventDecodeV2);
+BENCHMARK(BM_EventDecodeV3Access);
 
 void BM_EventEncodeV3Run(benchmark::State& state) {
   // One kAccessRun event standing for state.range(0) strided accesses - the
@@ -182,7 +142,6 @@ void BM_TraceAppend(benchmark::State& state) {
   wc.log_path = dir.File("t.log");
   wc.meta_path = dir.File("t.meta");
   wc.flusher = &flusher;
-  wc.format = static_cast<uint8_t>(state.range(0));
   trace::ThreadTraceWriter writer(0, wc);
   trace::IntervalMeta meta;
   meta.label = osl::Label::Initial().Fork(0, 2);
@@ -194,18 +153,13 @@ void BM_TraceAppend(benchmark::State& state) {
   }
   writer.EndSegment();
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel("v" + std::to_string(state.range(0)));
 }
-BENCHMARK(BM_TraceAppend)
-    ->Arg(trace::kTraceFormatV1)
-    ->Arg(trace::kTraceFormatV2)
-    ->Arg(trace::kTraceFormatV3);
+BENCHMARK(BM_TraceAppend);
 
 void BM_TraceAppendAccess(benchmark::State& state) {
-  // The instrumented-access fast path on a strided sweep: format v3 with the
-  // duplicate filter + coalescer (arg 1) vs the same format with both
-  // ablated (arg 0). The gap is the per-access win the online tentpole
-  // claims; the --quick mode gates it in CI.
+  // The instrumented-access fast path on a strided sweep: the duplicate
+  // filter + coalescer (arg 1) vs both ablated (arg 0). The gap is the
+  // per-access win of the fast path; the --quick mode gates it in CI.
   const bool fast = state.range(0) != 0;
   TempDir dir("bm-appendaccess");
   trace::Flusher flusher(/*async=*/true);
@@ -213,7 +167,6 @@ void BM_TraceAppendAccess(benchmark::State& state) {
   wc.log_path = dir.File("t.log");
   wc.meta_path = dir.File("t.meta");
   wc.flusher = &flusher;
-  wc.format = trace::kTraceFormatV3;
   wc.access_filter = fast;
   wc.coalesce = fast;
   trace::ThreadTraceWriter writer(0, wc);
@@ -247,8 +200,8 @@ void BM_FlusherThroughput(benchmark::State& state) {
   Bytes pattern;
   ByteWriter w(&pattern);
   trace::EventCodecState cs;
-  while (pattern.size() + trace::kMaxEventBytesV2 <= kBufferBytes) {
-    trace::EncodeEventV2(
+  while (pattern.size() + trace::kMaxEventBytesV3 <= kBufferBytes) {
+    trace::EncodeEventV3(
         trace::RawEvent::Access(0x1000 + pattern.size() * 8, 8, 1, 42), cs, w);
   }
 
@@ -268,8 +221,7 @@ void BM_FlusherThroughput(benchmark::State& state) {
         for (int j = 0; j < kJobsPerProducer; j++) {
           Bytes buf = flusher.pool().Acquire(kBufferBytes);
           buf.assign(pattern.begin(), pattern.end());
-          flusher.AppendFrame(path, std::move(buf), codec,
-                              trace::kTraceFormatV2);
+          flusher.AppendFrame(path, std::move(buf), codec);
         }
       });
     }
@@ -387,8 +339,10 @@ void BM_CodecCompress(benchmark::State& state) {
   const auto names = CompressorNames();
   const Compressor* codec = FindCompressor(names[static_cast<size_t>(state.range(0))]);
   ByteWriter w;
+  trace::EventCodecState codec_state;
   for (uint64_t i = 0; i < 25000; i++) {
-    trace::EncodeEvent(trace::RawEvent::Access(0x1000 + i * 8, 8, 1, 77), w);
+    trace::EncodeEventV3(trace::RawEvent::Access(0x1000 + i * 8, 8, 1, 77),
+                         codec_state, w);
   }
   const Bytes& input = w.buffer();
   for (auto _ : state) {
@@ -487,8 +441,8 @@ BENCHMARK(BM_VectorClockJoin);
 //                   iteration - the accumulator re-accesses are duplicate-
 //                   filter territory, and suppressing them is also what
 //                   keeps the a[i] run unbroken.
-// Each shape runs under format v3 default, v3 with filter+coalescer ablated,
-// and v2, so the JSON carries both the speedup ratio (machine-independent)
+// Each shape runs under the v3 default and v3 with filter+coalescer
+// ablated, so the JSON carries both the speedup ratio (machine-independent)
 // and absolute accesses/sec (floor-gated with tolerance).
 
 struct SweepMetrics {
@@ -504,8 +458,8 @@ struct SweepMetrics {
 
 enum class SweepShape { kStrided, kReduction };
 
-SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, bool filter,
-                          bool coalesce, uint64_t sweeps, uint64_t elems) {
+SweepMetrics MeasureSweep(SweepShape shape, bool filter, bool coalesce,
+                          uint64_t sweeps, uint64_t elems) {
   TempDir dir("bm-fastpath");
   trace::Flusher flusher(/*async=*/false);
   trace::WriterConfig wc;
@@ -513,7 +467,6 @@ SweepMetrics MeasureSweep(SweepShape shape, uint8_t format, bool filter,
   wc.meta_path = dir.File("t.meta");
   wc.flusher = &flusher;
   wc.codec = FindCompressor("raw");  // measure the format, not the codec
-  wc.format = format;
   wc.access_filter = filter;
   wc.coalesce = coalesce;
   SweepMetrics m;
@@ -575,12 +528,8 @@ int RunFastPathQuick(const ArgParser& args) {
   };
   auto measure = [&](SweepShape shape) {
     return std::vector<Row>{
-        {"v3 default", MeasureSweep(shape, trace::kTraceFormatV3, true, true,
-                                    sweeps, elems)},
-        {"v3 ablated", MeasureSweep(shape, trace::kTraceFormatV3, false, false,
-                                    sweeps, elems)},
-        {"v2", MeasureSweep(shape, trace::kTraceFormatV2, false, false, sweeps,
-                            elems)},
+        {"v3 default", MeasureSweep(shape, true, true, sweeps, elems)},
+        {"v3 ablated", MeasureSweep(shape, false, false, sweeps, elems)},
     };
   };
 
@@ -692,8 +641,7 @@ ContentionPoint MeasureContention(uint32_t threads, uint64_t total_frames) {
         for (uint64_t j = 0; j < per_thread; j++) {
           Bytes buf = flusher.pool().Acquire(kFrameBytes);
           buf.resize(kFrameBytes, 0x5a);
-          flusher.AppendFrame(path, std::move(buf), codec,
-                              trace::kTraceFormatV2);
+          flusher.AppendFrame(path, std::move(buf), codec);
         }
       });
     }

@@ -1,6 +1,7 @@
 #include "common/args.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdio>
 
 namespace sword {
 
@@ -30,11 +31,21 @@ std::string ArgParser::GetString(const std::string& flag,
   return it == flags_.end() ? def : it->second;
 }
 
-int64_t ArgParser::GetInt(const std::string& flag, int64_t def) const {
+int64_t ArgParser::GetInt(const std::string& flag, int64_t def, int64_t lo,
+                          int64_t hi) const {
   queried_[flag] = true;
   auto it = flags_.find(flag);
-  if (it == flags_.end() || it->second.empty()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == flags_.end()) return def;
+  const std::string& text = it->second;
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    errors_.push_back("--" + flag + " must be an integer in [" + std::to_string(lo) +
+                      ", " + std::to_string(hi) + "], got '" + text + "'");
+    return def;
+  }
+  return value;
 }
 
 bool ArgParser::GetBool(const std::string& flag, bool def) const {
@@ -51,6 +62,17 @@ std::vector<std::string> ArgParser::UnknownFlags() const {
     if (!queried_.count(name)) unknown.push_back("--" + name);
   }
   return unknown;
+}
+
+bool ArgParser::ReportUsageErrors() const {
+  const std::vector<std::string> unknown = UnknownFlags();
+  for (const auto& flag : unknown) {
+    std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+  }
+  for (const auto& error : errors_) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+  }
+  return !unknown.empty() || !errors_.empty();
 }
 
 }  // namespace sword

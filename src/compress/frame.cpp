@@ -38,18 +38,9 @@ Status ReadCrashBody(ByteReader& reader, uint8_t* signo) {
 
 /// Parses a data-frame header. `magic` has already been consumed.
 Status ReadFrameHeader(ByteReader& reader, uint32_t magic,
-                       uint8_t* payload_format, std::string* codec_name,
-                       uint64_t* raw_size, uint64_t* payload_size,
-                       uint64_t* checksum) {
-  if (magic == kFrameMagic) {
-    *payload_format = 1;
-  } else if (magic == kFrameMagicV2) {
-    *payload_format = 2;
-  } else if (magic == kFrameMagicV3) {
-    *payload_format = 3;
-  } else {
-    return Status::Corrupt("bad frame magic");
-  }
+                       std::string* codec_name, uint64_t* raw_size,
+                       uint64_t* payload_size, uint64_t* checksum) {
+  SWORD_RETURN_IF_ERROR(CheckDataFrameMagic(magic));
   SWORD_RETURN_IF_ERROR(reader.GetString(codec_name));
   SWORD_RETURN_IF_ERROR(reader.GetVarU64(raw_size));
   SWORD_RETURN_IF_ERROR(reader.GetVarU64(payload_size));
@@ -63,20 +54,26 @@ Status ReadFrameHeader(ByteReader& reader, uint32_t magic,
 
 }  // namespace
 
-Status WriteFrame(const Compressor& codec, const uint8_t* data, size_t n, Bytes* out,
-                  uint8_t payload_format, CompressScratch* scratch) {
-  if (payload_format < 1 || payload_format > 3) {
-    return Status::Invalid("unknown frame payload format");
+Status CheckDataFrameMagic(uint32_t magic) {
+  if (magic == kFrameMagicV3) return Status::Ok();
+  if (magic == 0x53574446) {  // "SWDF"
+    return Status::Unsupported("retired trace format v1 (SWDF frame)");
   }
+  if (magic == 0x53574632) {  // "SWF2"
+    return Status::Unsupported("retired trace format v2 (SWF2 frame)");
+  }
+  return Status::Corrupt("bad frame magic");
+}
+
+Status WriteFrame(const Compressor& codec, const uint8_t* data, size_t n, Bytes* out,
+                  CompressScratch* scratch) {
   Bytes local_payload;
   Bytes& payload = scratch ? scratch->payload : local_payload;
   payload.clear();
   SWORD_RETURN_IF_ERROR(codec.Compress(data, n, &payload, scratch));
 
   ByteWriter w(out);
-  w.PutU32(payload_format == 1   ? kFrameMagic
-           : payload_format == 2 ? kFrameMagicV2
-                                 : kFrameMagicV3);
+  w.PutU32(kFrameMagicV3);
   w.PutString(codec.Name());
   w.PutVarU64(n);
   w.PutVarU64(payload.size());
@@ -125,7 +122,6 @@ Status ReadFrame(ByteReader& reader, FrameView* out) {
   out->crash_signo = 0;
   if (magic == kFrameMagicCrash) {
     SWORD_RETURN_IF_ERROR(ReadCrashBody(reader, &out->crash_signo));
-    out->payload_format = 0;
     out->is_crash = true;
     out->raw_size = 0;
     out->frame_size = reader.position() - frame_start;
@@ -135,7 +131,6 @@ Status ReadFrame(ByteReader& reader, FrameView* out) {
   if (magic == kFrameMagicGap) {
     uint64_t raw_bytes, events;
     SWORD_RETURN_IF_ERROR(ReadGapBody(reader, &raw_bytes, &events));
-    out->payload_format = 0;
     out->is_gap = true;
     out->dropped_events = events;
     out->raw_size = raw_bytes;
@@ -145,9 +140,8 @@ Status ReadFrame(ByteReader& reader, FrameView* out) {
   }
   std::string codec_name;
   uint64_t raw_size, payload_size, checksum;
-  SWORD_RETURN_IF_ERROR(ReadFrameHeader(reader, magic, &out->payload_format,
-                                        &codec_name, &raw_size, &payload_size,
-                                        &checksum));
+  SWORD_RETURN_IF_ERROR(ReadFrameHeader(reader, magic, &codec_name, &raw_size,
+                                        &payload_size, &checksum));
 
   const Compressor* codec = FindCompressor(codec_name);
   if (!codec) return Status::Corrupt("unknown codec in frame: " + codec_name);
@@ -166,28 +160,23 @@ Status ReadFrame(ByteReader& reader, FrameView* out) {
   return Status::Ok();
 }
 
-Status SkipFrame(ByteReader& reader, uint64_t* raw_size, uint8_t* payload_format) {
+Status SkipFrame(ByteReader& reader, uint64_t* raw_size) {
   uint32_t magic;
   SWORD_RETURN_IF_ERROR(reader.GetU32(&magic));
   if (magic == kFrameMagicCrash) {
     uint8_t signo;
     SWORD_RETURN_IF_ERROR(ReadCrashBody(reader, &signo));
     *raw_size = 0;
-    if (payload_format) *payload_format = 0;  // marker, no payload
     return Status::Ok();
   }
   if (magic == kFrameMagicGap) {
     uint64_t events;
-    SWORD_RETURN_IF_ERROR(ReadGapBody(reader, raw_size, &events));
-    if (payload_format) *payload_format = 0;  // 0 = gap marker, no payload
-    return Status::Ok();
+    return ReadGapBody(reader, raw_size, &events);
   }
-  uint8_t format;
   std::string codec_name;
   uint64_t payload_size, checksum;
-  SWORD_RETURN_IF_ERROR(ReadFrameHeader(reader, magic, &format, &codec_name,
-                                        raw_size, &payload_size, &checksum));
-  if (payload_format) *payload_format = format;
+  SWORD_RETURN_IF_ERROR(ReadFrameHeader(reader, magic, &codec_name, raw_size,
+                                        &payload_size, &checksum));
   return reader.Skip(payload_size);
 }
 

@@ -4,17 +4,14 @@
 //   magic (u32) | codec name (len-prefixed) | raw_size (varu64)
 //   | payload_size (varu64) | fnv1a64(payload) (u64) | payload bytes
 //
-// The magic doubles as the PAYLOAD FORMAT version tag: "SWDF" frames carry
-// format-v1 payloads (fixed 16-byte events), "SWF2" frames carry format-v2
-// payloads (delta/varint events, see src/trace/event.h), "SW3F" frames carry
-// format-v3 payloads (v2 plus coalesced run events). Readers dispatch per
-// frame, so one log file may legally mix versions (e.g. a trace resumed by a
-// newer writer).
+// The magic doubles as the PAYLOAD FORMAT version tag. "SW3F" frames carry
+// format-v3 payloads (see src/trace/event.h), the only event encoding. The
+// retired "SWDF" (v1) and "SWF2" (v2) magics are recognized only to be
+// refused with a clear Unsupported status instead of a generic bad-magic
+// error.
 //
-// The v3 magic is deliberately NOT "SWF3": that string is one bit away from
-// "SWF2", and because v3 payloads are a superset of v2 a bit-flipped v2
-// header would decode cleanly as v3 - the checksum only covers the payload,
-// so the corruption would go unnoticed. "SW3F" keeps every magic at Hamming
+// The data magic is deliberately NOT "SWF3": that string is one bit away
+// from "SWF2". "SW3F" keeps every magic, retired ones included, at Hamming
 // distance >= 2 from every other, so a single bit flip always lands on an
 // invalid magic and is caught.
 //
@@ -33,8 +30,6 @@
 
 namespace sword {
 
-constexpr uint32_t kFrameMagic = 0x53574446;    // "SWDF": format-v1 payload
-constexpr uint32_t kFrameMagicV2 = 0x53574632;  // "SWF2": format-v2 payload
 constexpr uint32_t kFrameMagicV3 = 0x53573346;  // "SW3F": format-v3 payload
 constexpr uint32_t kFrameMagicGap = 0x53574750; // "SWGP": drop marker, no payload
 // "SWCR": crash marker appended by the fatal-signal sealer. Like the other
@@ -43,19 +38,23 @@ constexpr uint32_t kFrameMagicGap = 0x53574750; // "SWGP": drop marker, no paylo
 // single bit flip can never turn one marker kind into another.
 constexpr uint32_t kFrameMagicCrash = 0x53574352;
 
+/// Classifies a data-frame magic: Ok for "SW3F", Unsupported (naming the
+/// retired format) for "SWDF"/"SWF2", Corrupt for anything else. Gap and
+/// crash markers are not data frames and classify as Corrupt here.
+Status CheckDataFrameMagic(uint32_t magic);
+
 /// Hard cap on a frame's decompressed size. Writers flush one bounded trace
 /// buffer per frame (2 MB by default), so any header claiming more than this
 /// is corrupt. The checksum only covers the payload, so raw_size must be
 /// sanity-checked before it sizes an allocation.
 constexpr uint64_t kMaxFrameRawBytes = 64ull << 20;
 
-/// Compresses `data` with `codec` and appends a complete frame to `out`.
-/// `payload_format` selects the magic (1, 2, or 3). `scratch` optionally
-/// provides reusable compression staging (see CompressScratch): the
-/// compressed payload is built in scratch->payload instead of a fresh
-/// allocation.
+/// Compresses `data` with `codec` and appends a complete "SW3F" frame to
+/// `out`. `scratch` optionally provides reusable compression staging (see
+/// CompressScratch): the compressed payload is built in scratch->payload
+/// instead of a fresh allocation.
 Status WriteFrame(const Compressor& codec, const uint8_t* data, size_t n, Bytes* out,
-                  uint8_t payload_format = 1, CompressScratch* scratch = nullptr);
+                  CompressScratch* scratch = nullptr);
 
 /// Appends a gap frame to `out`: a drop marker the flusher writes after it
 /// had to discard data (ENOSPC). It records how many logical (decompressed)
@@ -81,7 +80,6 @@ void EncodeCrashMarker(uint8_t signo, uint8_t out[kCrashMarkerBytes]);
 void WriteCrashMarkerFrame(Bytes* out, uint8_t signo);
 
 struct FrameView {
-  uint8_t payload_format = 1;   // event encoding version (from the magic)
   uint64_t raw_size = 0;        // decompressed payload size (gap: bytes lost)
   uint64_t frame_size = 0;      // total encoded frame size in bytes
   bool is_gap = false;          // drop marker; `data` is empty
@@ -97,7 +95,6 @@ Status ReadFrame(ByteReader& reader, FrameView* out);
 
 /// Parses only the frame header to learn sizes without decompressing.
 /// Leaves the reader positioned past the whole frame.
-Status SkipFrame(ByteReader& reader, uint64_t* raw_size,
-                 uint8_t* payload_format = nullptr);
+Status SkipFrame(ByteReader& reader, uint64_t* raw_size);
 
 }  // namespace sword

@@ -114,8 +114,7 @@ SwordTool::SwordTool(SwordConfig config)
                     ? std::make_unique<trace::DegradationGovernor>(
                           config_.governor_config)
                     : nullptr),
-      prefilter_(config_.prefilter &&
-                         config_.trace_format >= trace::kTraceFormatV3
+      prefilter_(config_.prefilter
                      ? std::make_unique<prefilter::Prefilter>(
                            prefilter::PrefilterConfig{
                                .solver_budget = config_.prefilter_budget})
@@ -162,7 +161,6 @@ SwordTool::ThreadState& SwordTool::State() {
     wc.buffer_bytes = config_.buffer_bytes;
     wc.codec = FindCompressor(config_.codec);
     wc.flusher = &flusher_;
-    wc.format = config_.trace_format;
     wc.access_filter = config_.access_filter;
     wc.coalesce = config_.coalesce;
     wc.meta_checkpoint_interval = config_.meta_checkpoint_interval;

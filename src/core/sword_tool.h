@@ -45,10 +45,8 @@ struct SwordConfig {
   bool async_flush = true;
   uint32_t flush_workers = 0;                // 0 = min(4, hw_concurrency)
   size_t flush_queue_depth = trace::Flusher::kDefaultMaxQueuedJobs;
-  uint8_t trace_format = trace::kTraceFormatV3;  // event encoding version
-  /// Online fast-path knobs (effective for trace format v3 only; see
-  /// WriterConfig). Both are ablations: race reports are byte-identical
-  /// with them on or off.
+  /// Online fast-path knobs (see WriterConfig). Both are ablations: race
+  /// reports are byte-identical with them on or off.
   bool access_filter = true;
   bool coalesce = true;
   /// Meta checkpoint cadence in closed segments (0 = only at Finalize); see
@@ -74,10 +72,9 @@ struct SwordConfig {
   uint64_t watchdog_ms = 0;
   /// Static pre-filter (src/prefilter): prove worksharing sites race-free
   /// ahead of time and elide their per-access logging, appending exact
-  /// footprint receipts instead. Requires trace_format v3 (receipts are
-  /// strided-run events); silently stays off on older formats. Off by
-  /// default for library embedders; sword-run turns it on
-  /// (`--no-prefilter` is the ablation).
+  /// footprint receipts instead (strided-run events). Off by default for
+  /// library embedders; sword-run turns it on (`--no-prefilter` is the
+  /// ablation).
   bool prefilter = false;
   /// Solver step budget per model-pair disjointness proof.
   uint64_t prefilter_budget = 4096;
@@ -144,8 +141,8 @@ class SwordTool final : public somp::Tool {
   /// Elided accesses whose receipt could not land in a segment (loss).
   uint64_t ElidedLost() const;
 
-  /// The pre-filter, or null when SwordConfig::prefilter is off (or the
-  /// trace format predates v3). Exposed for sword-dump and the tests.
+  /// The pre-filter, or null when SwordConfig::prefilter is off. Exposed
+  /// for sword-dump and the tests.
   prefilter::Prefilter* prefilter() { return prefilter_.get(); }
   uint64_t BytesWritten() const { return flusher_.bytes_written(); }
   uint64_t Flushes() const;

@@ -35,7 +35,7 @@ namespace {
 void ConfigureRuntime(somp::Tool* tool, uint32_t threads) {
   somp::RuntimeConfig rc;
   rc.tool = tool;
-  rc.default_threads = threads == 0 ? 4 : threads;
+  rc.default_threads = threads == 0 ? kDefaultThreads : threads;
   somp::Runtime::Get().ResetIds();
   somp::Runtime::Get().Configure(rc);
 }
@@ -122,7 +122,6 @@ RunResult RunWorkload(const workloads::Workload& workload, const RunConfig& conf
       sc.codec = config.codec;
       sc.async_flush = config.async_flush;
       sc.flush_workers = config.flush_workers;
-      sc.trace_format = config.trace_format;
       sc.access_filter = config.access_filter;
       sc.coalesce = config.coalesce;
       sc.prefilter = config.prefilter;

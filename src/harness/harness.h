@@ -32,6 +32,9 @@ enum class ToolKind { kBaseline, kArcher, kArcherLow, kSword, kEraser };
 
 const char* ToolName(ToolKind kind);
 
+/// Team size of a run whose params.threads is 0.
+constexpr uint32_t kDefaultThreads = 4;
+
 struct RunConfig {
   ToolKind tool = ToolKind::kBaseline;
   workloads::WorkloadParams params;
@@ -41,10 +44,9 @@ struct RunConfig {
   std::string codec = "lzf";
   bool async_flush = true;
   uint32_t flush_workers = 0;          // flusher pool size; 0 = auto
-  uint8_t trace_format = trace::kTraceFormatV3;
-  bool access_filter = true;           // duplicate-access filter (v3 only)
-  bool coalesce = true;                // strided-run coalescing (v3 only)
-  bool prefilter = false;              // static pre-filter elision (v3 only)
+  bool access_filter = true;           // duplicate-access filter
+  bool coalesce = true;                // strided-run coalescing
+  bool prefilter = false;              // static pre-filter elision
   uint64_t prefilter_budget = 4096;    // solver step budget per overlap query
   bool run_offline = true;             // run the offline analysis afterwards
   uint32_t offline_threads = 1;

@@ -27,38 +27,26 @@ void FoldSalvage(const trace::SalvageStats& s, TraceIntegrity* out) {
 /// A record that merely runs past the end of the log is implausible in
 /// strict mode but EXPECTED in salvage mode (a killed run's last interval);
 /// every other failure is an implausible claim regardless of mode.
-Status ValidateRecord(const trace::IntervalMeta& m, uint8_t log_format,
-                      uint64_t log_logical, bool salvage) {
+Status ValidateRecord(const trace::IntervalMeta& m, uint64_t log_logical,
+                      bool salvage) {
   if (m.data_begin > UINT64_MAX - m.data_size) {
     return Status::Corrupt("meta record byte range overflows");
   }
   if (!salvage && m.data_begin + m.data_size > log_logical) {
     return Status::Corrupt("meta record addresses past the end of the log");
   }
-  if (log_format == trace::kTraceFormatV1) {
-    if (m.data_size % trace::kEventBytes != 0) {
-      return Status::Corrupt("v1 meta record size not event-aligned");
+  // Events are variable-size, at least 1 byte and at most the per-event
+  // bound. event_count counts ENCODED events (a run counts once), matching
+  // the writer's accounting.
+  constexpr uint64_t max_event = trace::kMaxEventBytesV3;
+  if (m.event_count != 0) {
+    if (m.event_count > m.data_size ||
+        m.event_count > UINT64_MAX / max_event ||
+        m.event_count * max_event < m.data_size) {
+      return Status::Corrupt("meta record event count implausible for size");
     }
-    // Old (version-1) records carry no event count; 0 means "unknown".
-    if (m.event_count != 0 && m.event_count != m.data_size / trace::kEventBytes) {
-      return Status::Corrupt("v1 meta record event count mismatches size");
-    }
-  } else {
-    // v2/v3 events are variable-size, at least 1 byte and at most the
-    // format's per-event bound. event_count counts ENCODED events (a v3
-    // run counts once), matching the writer's accounting.
-    const uint64_t max_event = log_format >= trace::kTraceFormatV3
-                                   ? trace::kMaxEventBytesV3
-                                   : trace::kMaxEventBytesV2;
-    if (m.event_count != 0) {
-      if (m.event_count > m.data_size ||
-          m.event_count > UINT64_MAX / max_event ||
-          m.event_count * max_event < m.data_size) {
-        return Status::Corrupt("meta record event count implausible for size");
-      }
-    } else if (m.data_size != 0) {
-      return Status::Corrupt("meta record has bytes but no events");
-    }
+  } else if (m.data_size != 0) {
+    return Status::Corrupt("meta record has bytes but no events");
   }
   return Status::Ok();
 }
@@ -154,8 +142,7 @@ Result<TraceStore> TraceStore::Open(const std::vector<std::string>& log_paths,
     const uint64_t log_logical = tt.log->total_logical_bytes();
     auto& records = tt.meta.intervals;
     for (size_t r = 0; r < records.size();) {
-      const Status vs = ValidateRecord(records[r], tt.meta.log_format,
-                                       log_logical, options.salvage);
+      const Status vs = ValidateRecord(records[r], log_logical, options.salvage);
       if (vs.ok()) {
         r++;
         continue;

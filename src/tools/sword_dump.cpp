@@ -52,24 +52,26 @@ int VerifyDir(const std::string& dir) {
     if (!FileExists(path)) break;
     any = true;
     std::printf("=== %s ===\n", path.c_str());
-    std::printf("  %5s %10s %10s %10s %6s %-6s %s\n", "frame", "offset",
-                "encoded", "raw", "fmt", "codec", "status");
+    std::printf("  %5s %10s %10s %10s %-6s %s\n", "frame", "offset",
+                "encoded", "raw", "codec", "status");
     auto stats = trace::LogReader::VerifyLog(path, [](const trace::FrameRecord& f) {
       const char* state;
       if (f.is_crash) {
         state = "CRASH";
       } else if (f.is_gap) {
         state = "GAP";
+      } else if (f.status.code() == ErrorCode::kUnsupported) {
+        state = "UNSUPPORTED";  // a retired format, skipped undecoded
       } else if (!f.status.ok()) {
         state = f.offset_trusted ? "CORRUPT" : "CORRUPT (unaddressable)";
       } else {
         state = f.offset_trusted ? "OK" : "OK (unaddressable)";
       }
-      std::printf("  %5llu %10llu %10llu %10llu %6u %-6s %s",
+      std::printf("  %5llu %10llu %10llu %10llu %-6s %s",
                   static_cast<unsigned long long>(f.index),
                   static_cast<unsigned long long>(f.file_offset),
                   static_cast<unsigned long long>(f.encoded_size),
-                  static_cast<unsigned long long>(f.raw_size), f.payload_format,
+                  static_cast<unsigned long long>(f.raw_size),
                   (f.is_gap || f.is_crash) ? "-" : f.codec.c_str(), state);
       if (f.is_crash) {
         std::printf(" (sealed by fatal signal %d)", int(f.crash_signo));
@@ -213,14 +215,11 @@ int main(int argc, char** argv) {
   const bool verify = args.GetBool("verify");
   const bool segments = args.GetBool("segments");
   const bool prefilter = args.GetBool("prefilter");
-  const int64_t only_thread = args.GetInt("thread", -1);
-  const int64_t limit = args.GetInt("limit", 32);
+  const int64_t only_thread = args.GetInt("thread", -1, -1, ArgParser::kMaxU32);
+  const int64_t limit = args.GetInt("limit", 32, 0, ArgParser::kMaxI64);
 
-  const std::vector<std::string> unknown = args.UnknownFlags();
-  for (const auto& flag : unknown) {
-    std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-  }
-  if (args.positional().size() != 1 || !unknown.empty()) {
+  const bool usage_errors = args.ReportUsageErrors();
+  if (args.positional().size() != 1 || usage_errors) {
     std::fprintf(stderr,
                  "usage: sword-dump <trace-dir> [--events] [--thread N] "
                  "[--limit K]\n"

@@ -70,19 +70,21 @@ void PrintUsage() {
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  const int64_t threads = args.GetInt("threads", 1);
+  constexpr int64_t kMaxU32 = ArgParser::kMaxU32;
+  constexpr int64_t kMaxI64 = ArgParser::kMaxI64;
+  const int64_t threads = args.GetInt("threads", 1, 1, kMaxU32);
   const std::string engine_name = args.GetString("engine", "dio");
   const bool stats = args.GetBool("stats");
   const bool json = args.GetBool("json");
-  const int64_t shard = args.GetInt("shard", 0);
-  const int64_t shards = args.GetInt("shards", 1);
+  const int64_t shard = args.GetInt("shard", 0, 0, kMaxU32);
+  const int64_t shards = args.GetInt("shards", 1, 1, kMaxU32);
   const bool salvage = args.GetBool("salvage");
   const bool journal_requested = args.Has("journal");
   const std::string journal_flag = args.GetString("journal", "");
   const bool resume = args.GetBool("resume");
-  const int64_t bucket_deadline_ms = args.GetInt("bucket-deadline-ms", 0);
-  const int64_t max_tree_mb = args.GetInt("max-tree-mb", 0);
-  const int64_t solver_budget = args.GetInt("solver-budget", 4000000);
+  const int64_t bucket_deadline_ms = args.GetInt("bucket-deadline-ms", 0, 0, kMaxU32);
+  const int64_t max_tree_mb = args.GetInt("max-tree-mb", 0, 0, kMaxI64 >> 20);
+  const int64_t solver_budget = args.GetInt("solver-budget", 4000000, 0, kMaxI64);
 
   if (args.GetBool("help")) {
     PrintUsage();
@@ -92,16 +94,10 @@ int main(int argc, char** argv) {
     PrintUsage();
     return kExitUsage;
   }
-  for (const auto& flag : args.UnknownFlags()) {
-    std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-    PrintUsage();
-    return kExitUsage;
-  }
   // Flag validation up front: a misconfigured run must die with a usage
   // error before touching the trace, not hours into an analysis.
-  if (threads < 1) {
-    std::fprintf(stderr, "error: --threads must be >= 1 (got %lld)\n",
-                 (long long)threads);
+  if (args.ReportUsageErrors()) {
+    PrintUsage();
     return kExitUsage;
   }
   if (engine_name != "dio" && engine_name != "ilp") {
@@ -109,20 +105,11 @@ int main(int argc, char** argv) {
                  engine_name.c_str());
     return kExitUsage;
   }
-  if (shards < 1) {
-    std::fprintf(stderr, "error: --shards must be >= 1 (got %lld)\n",
-                 (long long)shards);
-    return kExitUsage;
-  }
-  if (shard < 0 || shard >= shards) {
+  if (shard >= shards) {
     std::fprintf(stderr,
                  "error: --shard must be in [0, --shards); got shard %lld of "
                  "%lld\n",
                  (long long)shard, (long long)shards);
-    return kExitUsage;
-  }
-  if (bucket_deadline_ms < 0 || max_tree_mb < 0 || solver_budget < 0) {
-    std::fprintf(stderr, "error: governor budgets must be >= 0\n");
     return kExitUsage;
   }
 
@@ -169,7 +156,8 @@ int main(int argc, char** argv) {
   auto store = offline::TraceStore::OpenDir(trace_dir, store_options);
   if (!store.ok()) {
     std::fprintf(stderr, "error: %s\n", store.status().ToString().c_str());
-    if (!salvage) {
+    // A retired trace format is refused whole; salvage would only skip it.
+    if (!salvage && store.status().code() != ErrorCode::kUnsupported) {
       std::fprintf(stderr,
                    "(if this trace came from a crashed or killed run, retry "
                    "with --salvage)\n");

@@ -3,7 +3,7 @@
 //   sword-run --list
 //   sword-run --suite drb --name nowait-orig-yes --tool sword [--threads 8]
 //             [--size N] [--trace-dir DIR] [--buffer-kb K] [--codec C]
-//             [--cap-mb M] [--flush-workers W] [--format 1|2|3]
+//             [--cap-mb M] [--flush-workers W]
 //             [--no-access-filter] [--no-coalesce]
 //             [--no-prefilter] [--prefilter-budget N] [--offline-threads T]
 //             [--fault-plan SPEC] [--watchdog-ms N] [--adaptive]
@@ -15,9 +15,7 @@
 //
 // Flags are checked before anything runs: an unknown flag, or a numeric
 // flag that is not a whole number inside its range, exits 1 (usage error).
-#include <charconv>
 #include <cstdio>
-#include <limits>
 
 #include "common/args.h"
 #include "common/table.h"
@@ -25,7 +23,6 @@
 #include "core/sword_tool.h"
 #include "harness/harness.h"
 #include "somp/srcloc.h"
-#include "trace/event.h"
 #include "workloads/workload.h"
 
 using namespace sword;
@@ -37,29 +34,6 @@ void PrintUsage() {
                "usage: sword-run --suite S --name N [--tool "
                "baseline|archer|archer-low|sword|eraser] [--threads K] [--size N]\n"
                "       sword-run --list\n");
-}
-
-constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
-constexpr int64_t kMaxI64 = std::numeric_limits<int64_t>::max();
-
-/// Reads integer flag `flag` (absent = `def`). A value that is not a whole
-/// decimal number inside [lo, hi] is reported and clears `*ok`; the caller
-/// exits before it starts anything, so a wrapped cast never reaches the run.
-int64_t BoundedInt(const ArgParser& args, const std::string& flag, int64_t def,
-                   int64_t lo, int64_t hi, bool* ok) {
-  const std::string text = args.GetString(flag);
-  if (!args.Has(flag)) return def;
-  int64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
-    std::fprintf(stderr, "error: --%s must be an integer in [%lld, %lld], got '%s'\n",
-                 flag.c_str(), static_cast<long long>(lo),
-                 static_cast<long long>(hi), text.c_str());
-    *ok = false;
-    return def;
-  }
-  return value;
 }
 
 }  // namespace
@@ -99,38 +73,34 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown tool %s\n", tool_name.c_str());
     return 1;
   }
-  bool flags_ok = true;
-  // --threads 0 = the harness default team of 4.
-  config.params.threads = static_cast<uint32_t>(
-      BoundedInt(args, "threads", 8, 0, kMaxU32, &flags_ok));
-  config.params.size =
-      static_cast<uint64_t>(BoundedInt(args, "size", 0, 0, kMaxI64, &flags_ok));
+  constexpr int64_t kMaxU32 = ArgParser::kMaxU32;
+  constexpr int64_t kMaxI64 = ArgParser::kMaxI64;
+  // --threads 0 = the harness default team, resolved here so the report
+  // names the team that actually runs.
+  config.params.threads = static_cast<uint32_t>(args.GetInt("threads", 8, 0, kMaxU32));
+  if (config.params.threads == 0) config.params.threads = harness::kDefaultThreads;
+  config.params.size = static_cast<uint64_t>(args.GetInt("size", 0, 0, kMaxI64));
   // A zero-byte buffer would shed every access as a governor drop.
-  config.buffer_bytes = static_cast<uint64_t>(BoundedInt(
-                            args, "buffer-kb", 2048, 1, kMaxI64 / 1024, &flags_ok)) *
-                        1024;
+  config.buffer_bytes =
+      static_cast<uint64_t>(args.GetInt("buffer-kb", 2048, 1, kMaxI64 / 1024)) * 1024;
   config.codec = args.GetString("codec", "lzf");
   config.trace_dir = args.GetString("trace-dir", "");
-  config.flush_workers = static_cast<uint32_t>(
-      BoundedInt(args, "flush-workers", 0, 0, kMaxU32, &flags_ok));
-  config.trace_format = static_cast<uint8_t>(
-      BoundedInt(args, "format", trace::kTraceFormatV3, trace::kTraceFormatV1,
-                 trace::kTraceFormatV3, &flags_ok));
+  config.flush_workers =
+      static_cast<uint32_t>(args.GetInt("flush-workers", 0, 0, kMaxU32));
   // Fast-path ablations (report-identical by construction; see FORMAT.md).
   config.access_filter = !args.GetBool("no-access-filter");
   config.coalesce = !args.GetBool("no-coalesce");
   // Static pre-filter: on by default here (ablation via --no-prefilter).
   // Race output is identical either way - elision only suppresses accesses
   // at sites proven disjoint, and footprint receipts keep the decoded
-  // stream address-equivalent. Needs the v3 format; silently off on v1/v2.
+  // stream address-equivalent.
   config.prefilter = !args.GetBool("no-prefilter");
-  config.prefilter_budget = static_cast<uint64_t>(
-      BoundedInt(args, "prefilter-budget", 4096, 0, kMaxI64, &flags_ok));
-  config.archer_memory_cap = static_cast<uint64_t>(BoundedInt(
-                                 args, "cap-mb", 0, 0, kMaxI64 >> 20, &flags_ok)) *
-                             1024 * 1024;
-  config.offline_threads = static_cast<uint32_t>(
-      BoundedInt(args, "offline-threads", 1, 0, kMaxU32, &flags_ok));
+  config.prefilter_budget =
+      static_cast<uint64_t>(args.GetInt("prefilter-budget", 4096, 0, kMaxI64));
+  config.archer_memory_cap =
+      static_cast<uint64_t>(args.GetInt("cap-mb", 0, 0, kMaxI64 >> 20)) * 1024 * 1024;
+  config.offline_threads =
+      static_cast<uint32_t>(args.GetInt("offline-threads", 1, 0, kMaxU32));
   // Production-survivability knobs. Fatal-signal sealing is on by default
   // (inert unless the process dies of a fatal signal); the degradation
   // governor and the enqueue watchdog are opt-in.
@@ -138,18 +108,14 @@ int main(int argc, char** argv) {
   config.crash_seal = !args.GetBool("no-crash-seal");
   config.adaptive_degradation = args.GetBool("adaptive");
   // The deadline is compared in steady_clock nanoseconds; keep it in range.
-  config.watchdog_ms = static_cast<uint64_t>(
-      BoundedInt(args, "watchdog-ms", 0, 0, kMaxI64 / 1000000, &flags_ok));
+  config.watchdog_ms =
+      static_cast<uint64_t>(args.GetInt("watchdog-ms", 0, 0, kMaxI64 / 1000000));
   config.salvage_offline = args.GetBool("salvage");
 
   // Every flag has been queried: anything left over is a typo or a flag
   // that no longer exists, and silently ignoring it would run a different
   // configuration than the one asked for.
-  for (const auto& flag : args.UnknownFlags()) {
-    std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-    flags_ok = false;
-  }
-  if (!flags_ok) {
+  if (args.ReportUsageErrors()) {
     PrintUsage();
     return 1;
   }

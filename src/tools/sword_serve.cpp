@@ -132,33 +132,30 @@ int main(int argc, char** argv) {
   const std::string watch_dir = args.GetString("watch", "");
   const std::string socket_path = args.GetString("socket", "");
   const bool json = args.GetBool("json");
-  const int64_t threads = args.GetInt("threads", 2);
+  constexpr int64_t kMaxU32 = ArgParser::kMaxU32;
+  const int64_t threads = args.GetInt("threads", 2, 1, kMaxU32);
   const bool no_salvage = args.GetBool("no-salvage");
-  const int64_t poll_ms = args.GetInt("poll-ms", 50);
-  const int64_t max_inflight = args.GetInt("max-inflight", 8);
-  const int64_t queue_limit = args.GetInt("queue-limit", 16);
-  const int64_t queue_deadline_ms = args.GetInt("queue-deadline-ms", 30'000);
-  const int64_t max_attempts = args.GetInt("max-attempts", 2);
-  const int64_t solver_budget = args.GetInt("solver-budget", 4'000'000);
+  const int64_t poll_ms = args.GetInt("poll-ms", 50, 1, kMaxU32);
+  const int64_t max_inflight = args.GetInt("max-inflight", 8, 1, kMaxU32);
+  const int64_t queue_limit = args.GetInt("queue-limit", 16, 1, kMaxU32);
+  const int64_t queue_deadline_ms =
+      args.GetInt("queue-deadline-ms", 30'000, 1, ArgParser::kMaxI64 / 1'000'000);
+  const int64_t max_attempts = args.GetInt("max-attempts", 2, 1, kMaxU32);
+  const int64_t solver_budget =
+      args.GetInt("solver-budget", 4'000'000, 0, ArgParser::kMaxI64);
   const std::string fault_spec = args.GetString("fault-plan", "");
 
   if (args.GetBool("help")) {
     PrintUsage();
     return kExitClean;
   }
-  for (const auto& flag : args.UnknownFlags()) {
-    std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+  if (args.ReportUsageErrors()) {
     PrintUsage();
     return kExitUsage;
   }
   if (state_dir.empty()) {
     std::fprintf(stderr, "error: --state-dir is required\n");
     PrintUsage();
-    return kExitUsage;
-  }
-  if (threads < 1 || poll_ms < 1 || max_inflight < 1 || queue_limit < 1 ||
-      max_attempts < 1 || queue_deadline_ms < 1 || solver_budget < 0) {
-    std::fprintf(stderr, "error: numeric flags must be positive\n");
     return kExitUsage;
   }
   if (args.positional().empty() && watch_dir.empty() && socket_path.empty()) {

@@ -2,38 +2,9 @@
 
 namespace sword::trace {
 
-void EncodeEvent(const RawEvent& e, ByteWriter& w) {
-  w.PutU8(static_cast<uint8_t>(e.kind));
-  w.PutU8(e.flags);
-  w.PutU8(e.size);
-  w.PutU8(0);  // reserved
-  w.PutU32(e.pc);
-  w.PutU64(e.addr);
-}
-
-Status DecodeEvent(ByteReader& r, RawEvent* out) {
-  uint8_t kind, flags, size, pad;
-  SWORD_RETURN_IF_ERROR(r.GetU8(&kind));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&flags));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&size));
-  SWORD_RETURN_IF_ERROR(r.GetU8(&pad));
-  SWORD_RETURN_IF_ERROR(r.GetU32(&out->pc));
-  SWORD_RETURN_IF_ERROR(r.GetU64(&out->addr));
-  if (kind > static_cast<uint8_t>(EventKind::kMutexRelease)) {
-    return Status::Corrupt("unknown event kind");
-  }
-  out->kind = static_cast<EventKind>(kind);
-  out->flags = flags;
-  out->size = size;
-  out->stride = 0;
-  out->count = 1;
-  return Status::Ok();
-}
-
-// v2/v3 tag byte layout:
-//   bits 0-1  kind (0 access, 1 acquire, 2 release; 3 reserved in v2,
-//             kAccessRun in v3)
-// for kAccess (and v3 kAccessRun, which shares the access layout):
+// Tag byte layout:
+//   bits 0-1  kind (0 access, 1 acquire, 2 release, 3 kAccessRun)
+// for kAccess (and kAccessRun, which shares the access layout):
 //   bit 2     write flag   (somp::kAccessWrite)
 //   bit 3     atomic flag  (somp::kAccessAtomic)
 //   bits 4-7  size code: 1..8 -> size = 1 << (code-1); 0 -> explicit varint
@@ -43,7 +14,7 @@ Status DecodeEvent(ByteReader& r, RawEvent* out) {
 // for kMutex*: bits 2-7 must be zero.
 //
 // Then, for kAccess: varint pc, zigzag-varint (addr - prev_access_addr).
-// For kAccessRun (v3): varint pc, zigzag-varint (base - prev_access_addr),
+// For kAccessRun: varint pc, zigzag-varint (base - prev_access_addr),
 // varint stride, varint count; prev advances to the LAST element's address.
 // For kMutex*: varint mutex id (absolute - lock ids are small and unordered,
 // deltas would not help).
@@ -121,8 +92,8 @@ Status DecodeMutexPayload(uint8_t tag, ByteReader& r, RawEvent* out) {
 
 }  // namespace
 
-void EncodeEventV2(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
-  if (e.kind != EventKind::kAccess) {
+void EncodeEventV3(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
+  if (e.kind == EventKind::kMutexAcquire || e.kind == EventKind::kMutexRelease) {
     w.PutU8(static_cast<uint8_t>(e.kind));
     w.PutVarU64(e.addr);
     return;
@@ -130,40 +101,13 @@ void EncodeEventV2(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
   EncodeAccessTag(e, w);
   w.PutVarU64(e.pc);
   w.PutVarI64(static_cast<int64_t>(e.addr - state.prev_addr));
-  state.prev_addr = e.addr;
-}
-
-Status DecodeEventV2(ByteReader& r, EventCodecState& state, RawEvent* out) {
-  uint8_t tag;
-  SWORD_RETURN_IF_ERROR(r.GetU8(&tag));
-  const uint8_t kind = tag & 0x03;
-  if (kind > static_cast<uint8_t>(EventKind::kMutexRelease)) {
-    return Status::Corrupt("unknown event kind");
+  if (e.kind == EventKind::kAccessRun) {
+    w.PutVarU64(e.stride);
+    w.PutVarU64(e.count);
+    state.prev_addr = e.addr + (e.count - 1) * e.stride;
+  } else {
+    state.prev_addr = e.addr;
   }
-  out->kind = static_cast<EventKind>(kind);
-  out->stride = 0;
-  out->count = 1;
-
-  if (out->kind != EventKind::kAccess) return DecodeMutexPayload(tag, r, out);
-
-  int64_t delta;
-  SWORD_RETURN_IF_ERROR(DecodeAccessPayload(tag, r, out, &delta));
-  out->addr = state.prev_addr + static_cast<uint64_t>(delta);
-  state.prev_addr = out->addr;
-  return Status::Ok();
-}
-
-void EncodeEventV3(const RawEvent& e, EventCodecState& state, ByteWriter& w) {
-  if (e.kind != EventKind::kAccessRun) {
-    EncodeEventV2(e, state, w);
-    return;
-  }
-  EncodeAccessTag(e, w);
-  w.PutVarU64(e.pc);
-  w.PutVarI64(static_cast<int64_t>(e.addr - state.prev_addr));
-  w.PutVarU64(e.stride);
-  w.PutVarU64(e.count);
-  state.prev_addr = e.addr + (e.count - 1) * e.stride;
 }
 
 Status DecodeEventV3(ByteReader& r, EventCodecState& state, RawEvent* out) {

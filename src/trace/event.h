@@ -6,28 +6,26 @@
 // interval's position without waiting for compression, and the reader can
 // skip frames using only their headers (paper SIII-B's streaming reads).
 //
-// Three payload formats exist, tagged by the frame magic (compress/frame.h):
+// The payload encoding is format v3 (frame magic "SW3F", compress/frame.h):
+// variable-length events, each one packed tag byte (kind / flags / size
+// code), a varint pc, and the ADDRESS DELTA against the previous access in
+// the same frame as a zigzag varint. Typical access events take 3-5 bytes,
+// and the delta stream compresses well (strided loops become runs of
+// identical bytes). Delta state resets at every frame boundary, so frames
+// stay independently decodable. The kAccessRun kind stands for `count`
+// accesses at base, base+stride, ..., base+(count-1)*stride with equal
+// size/flags/pc - the shape every `parallel for` sweep produces. The
+// writer's coalescer emits runs; the offline analyzer materializes them
+// directly as strided intervals without per-element expansion.
 //
-//   v1 - a dense array of fixed 16-byte events (the original layout).
-//   v2 - variable-length events: one packed tag byte (kind / flags / size
-//        code), a varint pc, and the ADDRESS DELTA against the previous
-//        access in the same frame as a zigzag varint. Typical access events
-//        take 3-5 bytes instead of 16 before compression, and the delta
-//        stream compresses far better (strided loops become runs of
-//        identical bytes). Delta state resets at every frame boundary, so
-//        frames stay independently decodable.
-//   v3 - v2 plus the kAccessRun kind: one event standing for `count`
-//        accesses at base, base+stride, ..., base+(count-1)*stride with
-//        equal size/flags/pc - the shape every `parallel for` sweep
-//        produces. The writer's coalescer emits runs; the offline analyzer
-//        materializes them directly as strided intervals without
-//        per-element expansion. Kinds 0-2 encode byte-identically to v2.
+// Formats v1 (fixed 16-byte events, "SWDF") and v2 (v3 without runs,
+// "SWF2") are retired: readers refuse them (docs/FORMAT.md).
 //
 // Event kinds:
 //   kAccess        - one instrumented load/store; addr/size/flags/pc
 //   kMutexAcquire  - lock id in `addr`
 //   kMutexRelease  - lock id in `addr`
-//   kAccessRun     - coalesced strided run (v3 frames only)
+//   kAccessRun     - coalesced strided run
 // Barrier and region boundaries are not log events: they are exactly the
 // meta-file interval boundaries (Table I).
 #pragma once
@@ -39,16 +37,14 @@
 
 namespace sword::trace {
 
-/// Trace event-encoding format versions (the frame magic carries the tag).
-constexpr uint8_t kTraceFormatV1 = 1;
-constexpr uint8_t kTraceFormatV2 = 2;
+/// The trace event-encoding format version, recorded in every meta header.
 constexpr uint8_t kTraceFormatV3 = 3;
 
 enum class EventKind : uint8_t {
   kAccess = 0,
   kMutexAcquire = 1,
   kMutexRelease = 2,
-  kAccessRun = 3,  // v3 only; the reserved v2 kind, so v2 decoders reject it
+  kAccessRun = 3,
 };
 
 struct RawEvent {
@@ -97,22 +93,10 @@ struct RawEvent {
   friend bool operator==(const RawEvent&, const RawEvent&) = default;
 };
 
-// ---------------------------------------------------------------- format v1
-
-/// Encoded size of one v1 event in the log stream.
-constexpr uint64_t kEventBytes = 16;
-
-/// Appends the 16-byte little-endian v1 encoding of `e`.
-void EncodeEvent(const RawEvent& e, ByteWriter& w);
-
-/// Decodes one v1 event; fails on truncation or unknown kind.
-Status DecodeEvent(ByteReader& r, RawEvent* out);
-
-// ---------------------------------------------------------------- format v2
-
-/// Upper bound on one v2 event's encoded size: tag (1) + extended flags (1)
-/// + explicit size varint (2) + pc varint (5) + address-delta varint (10).
-constexpr uint64_t kMaxEventBytesV2 = 19;
+/// Upper bound on one encoded event's size: tag (1) + extended flags (1)
+/// + explicit size varint (2) + pc varint (5) + address-delta varint (10)
+/// + a run's stride and count varints (10 each).
+constexpr uint64_t kMaxEventBytesV3 = 39;
 
 /// Delta-coder state: the previous ACCESS address seen in the current frame.
 /// Encoder and decoder must carry matching state and reset it at every frame
@@ -121,26 +105,13 @@ struct EventCodecState {
   uint64_t prev_addr = 0;
 };
 
-/// Appends the variable-length v2 encoding of `e`, updating `state`.
-void EncodeEventV2(const RawEvent& e, EventCodecState& state, ByteWriter& w);
-
-/// Decodes one v2 event, updating `state`; fails on truncation, unknown
-/// kind, or a reserved tag layout.
-Status DecodeEventV2(ByteReader& r, EventCodecState& state, RawEvent* out);
-
-// ---------------------------------------------------------------- format v3
-
-/// Upper bound on one v3 event's encoded size: the v2 bound plus a run's
-/// stride and count varints (10 each).
-constexpr uint64_t kMaxEventBytesV3 = kMaxEventBytesV2 + 20;
-
-/// Appends the variable-length v3 encoding of `e`, updating `state`. Kinds
-/// 0-2 encode exactly as v2; kAccessRun adds varint stride and count after
-/// the base-address delta, and advances `prev_addr` to the LAST element's
-/// address so a continuation right after the run still gets a small delta.
+/// Appends the variable-length encoding of `e`, updating `state`. kAccessRun
+/// puts varint stride and count after the base-address delta, and advances
+/// `prev_addr` to the LAST element's address so a continuation right after
+/// the run still gets a small delta.
 void EncodeEventV3(const RawEvent& e, EventCodecState& state, ByteWriter& w);
 
-/// Decodes one v3 event, updating `state`; fails on truncation, a reserved
+/// Decodes one event, updating `state`; fails on truncation, a reserved
 /// tag layout, or an implausible run (count < 2, stride 0, or an extent
 /// that overflows the address space).
 Status DecodeEventV3(ByteReader& r, EventCodecState& state, RawEvent* out);

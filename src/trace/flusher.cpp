@@ -138,12 +138,11 @@ Flusher::~Flusher() {
 }
 
 void Flusher::AppendFrame(const std::string& path, Bytes raw, const Compressor* codec,
-                          uint8_t payload_format, uint64_t event_count) {
+                          uint64_t event_count) {
   Job job;
   job.path = path;
   job.data = std::move(raw);
   job.codec = codec ? codec : DefaultCompressor();
-  job.payload_format = payload_format;
   job.event_count = event_count;
   job.recycle = true;
   Enqueue(std::move(job));
@@ -417,7 +416,7 @@ void Flusher::DoJob(const Job& job, Worker* worker) {
     Bytes& frame = worker ? worker->frame : local_frame;
     frame.clear();
     status = WriteFrame(*job.codec, job.data.data(), job.data.size(), &frame,
-                        job.payload_format, worker ? &worker->scratch : nullptr);
+                        worker ? &worker->scratch : nullptr);
     if (status.ok()) status = WritePathData(job, frame.data(), frame.size());
   } else {
     status = WritePathData(job, job.data.data(), job.data.size());

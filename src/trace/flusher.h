@@ -213,15 +213,15 @@ class Flusher {
   Flusher(const Flusher&) = delete;
   Flusher& operator=(const Flusher&) = delete;
 
-  /// Queues "compress `raw` with `codec`, frame it tagged `payload_format`,
-  /// and append to `path`". Blocks when the queue is full (backpressure).
-  /// Sync mode does the work inline. The buffer is recycled into pool()
-  /// after the frame is written. `event_count` is how many events `raw`
-  /// encodes - the writer knows, the flusher cannot recover it from the
-  /// encoded bytes - and it is what makes dropped-event accounting exact
-  /// when an unrecoverable I/O error forces the frame to be discarded.
+  /// Queues "compress `raw` with `codec`, frame it, and append to `path`".
+  /// Blocks when the queue is full (backpressure). Sync mode does the work
+  /// inline. The buffer is recycled into pool() after the frame is written.
+  /// `event_count` is how many events `raw` encodes - the writer knows, the
+  /// flusher cannot recover it from the encoded bytes - and it is what makes
+  /// dropped-event accounting exact when an unrecoverable I/O error forces
+  /// the frame to be discarded.
   void AppendFrame(const std::string& path, Bytes raw, const Compressor* codec,
-                   uint8_t payload_format = 1, uint64_t event_count = 0);
+                   uint64_t event_count = 0);
 
   /// Queues a raw (pre-encoded) append with no compression or framing.
   void Append(const std::string& path, Bytes data);
@@ -255,7 +255,6 @@ class Flusher {
     std::string path;
     Bytes data;
     const Compressor* codec = nullptr;  // null = raw append
-    uint8_t payload_format = 1;
     uint64_t event_count = 0;  // events encoded in `data` (framed jobs)
     bool recycle = false;  // return `data` to the pool afterwards
   };

@@ -2,7 +2,7 @@
 
 namespace sword::trace {
 
-void IntervalMeta::Serialize(ByteWriter& w, uint8_t version) const {
+void IntervalMeta::Serialize(ByteWriter& w) const {
   w.PutVarU64(region);
   w.PutVarU64(parent_region);
   w.PutVarU64(phase);
@@ -11,17 +11,15 @@ void IntervalMeta::Serialize(ByteWriter& w, uint8_t version) const {
   w.PutVarU64(lane);
   w.PutVarU64(data_begin);
   w.PutVarU64(data_size);
-  if (version >= 2) w.PutVarU64(event_count);
+  w.PutVarU64(event_count);
   w.PutVarU64(lockset.size());
   for (uint32_t m : lockset) w.PutVarU64(m);
-  if (version >= 3) {
-    w.PutVarU64(degradation_level);
-    w.PutVarU64(degraded_dropped);
-  }
-  if (version >= 4) w.PutVarU64(elided);
+  w.PutVarU64(degradation_level);
+  w.PutVarU64(degraded_dropped);
+  w.PutVarU64(elided);
 }
 
-Status IntervalMeta::Deserialize(ByteReader& r, IntervalMeta* out, uint8_t version) {
+Status IntervalMeta::Deserialize(ByteReader& r, IntervalMeta* out) {
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->region));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->parent_region));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->phase));
@@ -33,8 +31,7 @@ Status IntervalMeta::Deserialize(ByteReader& r, IntervalMeta* out, uint8_t versi
   out->lane = static_cast<uint32_t>(lane);
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->data_begin));
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->data_size));
-  out->event_count = 0;
-  if (version >= 2) SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->event_count));
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->event_count));
   uint64_t n;
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&n));
   out->lockset.clear();
@@ -44,16 +41,11 @@ Status IntervalMeta::Deserialize(ByteReader& r, IntervalMeta* out, uint8_t versi
     SWORD_RETURN_IF_ERROR(r.GetVarU64(&m));
     out->lockset.push_back(static_cast<uint32_t>(m));
   }
-  out->degradation_level = 0;
-  out->degraded_dropped = 0;
-  if (version >= 3) {
-    uint64_t level;
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&level));
-    out->degradation_level = static_cast<uint32_t>(level);
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->degraded_dropped));
-  }
-  out->elided = 0;
-  if (version >= 4) SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->elided));
+  uint64_t degradation_level;
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&degradation_level));
+  out->degradation_level = static_cast<uint32_t>(degradation_level);
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->degraded_dropped));
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->elided));
   return Status::Ok();
 }
 
@@ -67,24 +59,23 @@ std::string IntervalMeta::ToString() const {
   out += " level=" + std::to_string(level);
   out += " data_begin=" + std::to_string(data_begin);
   out += " size=" + std::to_string(data_size);
-  out += " events=" + std::to_string(EventCount());
+  out += " events=" + std::to_string(event_count);
   out += " label=" + label.ToString();
   return out;
 }
 
 void EncodeMetaHeader(ByteWriter& w, const MetaHeaderInfo& info) {
   w.PutU32(kMetaMagicV6);
-  // v5+: flags + seal signo as FIXED-offset bytes right after the magic
+  // Flags + seal signo as FIXED-offset bytes right after the magic
   // (kMetaFlagsOffset / kMetaSealSignoOffset) so the fatal-signal handler
   // can patch them in a pre-serialized image without running any encoder.
   w.PutU8(info.crash_sealed ? kMetaFlagCrashSealed : 0);
   w.PutU8(info.seal_signo);
   w.PutVarU64(info.thread_id);
   w.PutU8(info.log_format);
-  // v3 additions: record-time drop totals, before the interval records so a
-  // torn tail cannot hide them. v4 adds the outside-segment access drops,
-  // v5 the degradation-governor sheds and the transition history, v6 the
-  // pre-filter elision totals.
+  // Record-time drop totals, outside-segment access drops, governor sheds,
+  // pre-filter elision totals and the transition history all sit before the
+  // interval records, so a torn tail cannot hide them.
   w.PutVarU64(info.events_dropped);
   w.PutVarU64(info.bytes_dropped);
   w.PutVarU64(info.accesses_dropped);
@@ -118,7 +109,7 @@ Bytes MetaFile::Encode() const {
   info.transitions = &transitions;
   info.record_count = intervals.size();
   EncodeMetaHeader(w, info);
-  for (const auto& m : intervals) m.Serialize(w, /*version=*/4);
+  for (const auto& m : intervals) m.Serialize(w);
   return w.buffer();
 }
 
@@ -128,89 +119,59 @@ Status MetaFile::Decode(const Bytes& data, MetaFile* out, bool salvage,
   ByteReader r(data);
   uint32_t magic;
   SWORD_RETURN_IF_ERROR(r.GetU32(&magic));
-  uint8_t version;
-  if (magic == kMetaMagic) {
-    version = 1;
-  } else if (magic == kMetaMagicV2) {
-    version = 2;
-  } else if (magic == kMetaMagicV3) {
-    version = 3;
-  } else if (magic == kMetaMagicV4) {
-    version = 4;
-  } else if (magic == kMetaMagicV5) {
-    version = 5;
-  } else if (magic == kMetaMagicV6) {
-    version = 6;
-  } else {
+  if (magic != kMetaMagicV6) {
+    // "SWMF" (v1) and "SWM2".."SWM5" are retired versions, refused by name.
+    const char last = static_cast<char>(magic & 0xff);
+    if ((magic >> 8) == 0x53574d && (last == 'F' || (last >= '2' && last <= '5'))) {
+      return Status::Unsupported(std::string("retired meta format SWM") + last);
+    }
     return Status::Corrupt("bad meta magic");
   }
-  out->crash_sealed = false;
-  out->seal_signo = 0;
-  if (version >= 5) {
-    uint8_t flags, signo;
-    SWORD_RETURN_IF_ERROR(r.GetU8(&flags));
-    SWORD_RETURN_IF_ERROR(r.GetU8(&signo));
-    if (flags & ~kMetaFlagCrashSealed) {
-      return Status::Corrupt("unknown meta flag bits");
-    }
-    out->crash_sealed = (flags & kMetaFlagCrashSealed) != 0;
-    out->seal_signo = signo;
+  uint8_t flags, signo;
+  SWORD_RETURN_IF_ERROR(r.GetU8(&flags));
+  SWORD_RETURN_IF_ERROR(r.GetU8(&signo));
+  if (flags & ~kMetaFlagCrashSealed) {
+    return Status::Corrupt("unknown meta flag bits");
   }
+  out->crash_sealed = (flags & kMetaFlagCrashSealed) != 0;
+  out->seal_signo = signo;
   uint64_t tid, n;
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&tid));
   out->thread_id = static_cast<uint32_t>(tid);
-  if (version >= 2) {
-    SWORD_RETURN_IF_ERROR(r.GetU8(&out->log_format));
-    if (out->log_format < kTraceFormatV1 || out->log_format > kTraceFormatV3) {
-      return Status::Corrupt("unknown log format in meta file");
-    }
-  } else {
-    out->log_format = kTraceFormatV1;  // v1 metas only ever paired v1 logs
+  SWORD_RETURN_IF_ERROR(r.GetU8(&out->log_format));
+  if (out->log_format == 1 || out->log_format == 2) {
+    return Status::Unsupported("meta names retired log format v" +
+                               std::to_string(out->log_format));
   }
-  out->events_dropped = 0;
-  out->bytes_dropped = 0;
-  out->accesses_dropped = 0;
-  if (version >= 3) {
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->events_dropped));
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->bytes_dropped));
+  if (out->log_format != kTraceFormatV3) {
+    return Status::Corrupt("unknown log format in meta file");
   }
-  if (version >= 4) {
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->accesses_dropped));
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->events_dropped));
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->bytes_dropped));
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->accesses_dropped));
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->degraded_dropped));
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->elided_accesses));
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->elided_lost));
+  uint64_t n_transitions;
+  SWORD_RETURN_IF_ERROR(r.GetVarU64(&n_transitions));
+  if (n_transitions > data.size()) {
+    return Status::Corrupt("implausible transition count in meta file");
   }
-  out->degraded_dropped = 0;
   out->transitions.clear();
-  out->elided_accesses = 0;
-  out->elided_lost = 0;
-  if (version >= 5) {
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->degraded_dropped));
-    // v6 inserts the pre-filter counters between the governor's shed count
-    // and the transition history (mirrors EncodeMetaHeader's field order).
-    if (version >= 6) {
-      SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->elided_accesses));
-      SWORD_RETURN_IF_ERROR(r.GetVarU64(&out->elided_lost));
-    }
-    uint64_t n_transitions;
-    SWORD_RETURN_IF_ERROR(r.GetVarU64(&n_transitions));
-    if (n_transitions > data.size()) {
-      return Status::Corrupt("implausible transition count in meta file");
-    }
-    out->transitions.reserve(n_transitions);
-    for (uint64_t i = 0; i < n_transitions; ++i) {
-      DegradationTransition t;
-      SWORD_RETURN_IF_ERROR(r.GetU8(&t.level));
-      SWORD_RETURN_IF_ERROR(r.GetU8(&t.reason));
-      SWORD_RETURN_IF_ERROR(r.GetVarU64(&t.interval));
-      out->transitions.push_back(t);
-    }
+  out->transitions.reserve(n_transitions);
+  for (uint64_t i = 0; i < n_transitions; ++i) {
+    DegradationTransition t;
+    SWORD_RETURN_IF_ERROR(r.GetU8(&t.level));
+    SWORD_RETURN_IF_ERROR(r.GetU8(&t.reason));
+    SWORD_RETURN_IF_ERROR(r.GetVarU64(&t.interval));
+    out->transitions.push_back(t);
   }
   SWORD_RETURN_IF_ERROR(r.GetVarU64(&n));
   out->intervals.clear();
   out->intervals.reserve(n);
-  const uint8_t record_version =
-      version >= 6 ? 4 : version >= 5 ? 3 : version >= 2 ? 2 : 1;
   for (uint64_t i = 0; i < n; i++) {
     IntervalMeta m;
-    Status s = IntervalMeta::Deserialize(r, &m, record_version);
+    Status s = IntervalMeta::Deserialize(r, &m);
     if (!s.ok()) {
       if (!salvage) return s;
       // The interval list is written in order; a parse failure means the

@@ -36,18 +36,18 @@ struct IntervalMeta {
   uint32_t lane = 0;            // thread num within the team
   uint64_t data_begin = 0;      // logical byte offset into the log stream
   uint64_t data_size = 0;       // bytes of event data in this segment
-  uint64_t event_count = 0;     // events in this segment (0 in v1 metas)
+  uint64_t event_count = 0;     // encoded events in this segment
   /// Highest degradation-governor level active while this segment was open
-  /// (record v3; 0 = full tracing). Non-zero means the segment's event list
+  /// (0 = full tracing). Non-zero means the segment's event list
   /// may be a SUBSET of the accesses that actually happened: races found in
   /// it are still real, but absence of a race is not proof.
   uint32_t degradation_level = 0;
   /// Accesses the writer dropped from THIS segment because of degradation
-  /// (sampling / summary-only), record v3. Exact count, so offline
+  /// (sampling / summary-only). Exact count, so offline
   /// accounting can reconcile observed + dropped totals.
   uint64_t degraded_dropped = 0;
   /// Accesses the static pre-filter elided from THIS segment under a
-  /// disjointness proof (record v4). Unlike degraded_dropped this is NOT
+  /// disjointness proof. Unlike degraded_dropped this is NOT
   /// loss: every elided access is covered by an exact footprint receipt
   /// appended into the segment's event data, so the decoded stream is
   /// address-equivalent to the unfiltered one.
@@ -61,23 +61,15 @@ struct IntervalMeta {
   /// Table I "span" column: innermost label pair span.
   uint32_t TableSpan() const { return label.pairs().back().span; }
 
-  /// Events in this segment. v2 metas record the count explicitly (required
-  /// for variable-length event encodings); v1 metas derive it from the fixed
-  /// 16-byte event size.
-  uint64_t EventCount() const {
-    return event_count ? event_count : data_size / kEventBytes;
-  }
-
-  /// `version` is the RECORD format: 1 omits event_count, 2 records it,
-  /// 3 adds degradation_level + degraded_dropped, 4 adds elided.
-  void Serialize(ByteWriter& w, uint8_t version = 4) const;
-  static Status Deserialize(ByteReader& r, IntervalMeta* out, uint8_t version = 4);
+  /// The interval record as SWM6 metas store it.
+  void Serialize(ByteWriter& w) const;
+  static Status Deserialize(ByteReader& r, IntervalMeta* out);
 
   /// One Table-I-style text line (debugging and the quickstart example).
   std::string ToString() const;
 };
 
-/// One degradation-governor level change, recorded in v5 metas so offline
+/// One degradation-governor level change, recorded in the meta so offline
 /// reports can annotate which barrier intervals ran under reduced fidelity.
 struct DegradationTransition {
   uint8_t level = 0;        // level entered (trace::governor level ordinal)
@@ -92,42 +84,43 @@ struct DegradationTransition {
 /// Whole meta file: header + interval records.
 struct MetaFile {
   uint32_t thread_id = 0;  // dense SWORD thread id (not an OS id)
-  /// Event-encoding format of the companion .log file (kTraceFormatV*).
-  /// Informational: the log's frames are self-tagging; tools print this.
-  uint8_t log_format = kTraceFormatV2;
-  /// v5 metas: this checkpoint was written by the fatal-signal sealer while
+  /// Event-encoding format of the companion .log file: always
+  /// kTraceFormatV3. Informational; tools print it.
+  uint8_t log_format = kTraceFormatV3;
+  /// This checkpoint was written by the fatal-signal sealer while
   /// the process was dying of `seal_signo`. The trace ends at the last
   /// sealed barrier interval; everything recorded is trustworthy, nothing
   /// after it exists.
   bool crash_sealed = false;
   uint8_t seal_signo = 0;
-  /// Record-time loss (v3 metas): events/logical bytes the flusher had to
+  /// Record-time loss: events/logical bytes the flusher had to
   /// discard for this thread's log (ENOSPC etc). Mirrors the log's gap
   /// frames so the loss is visible even from the meta alone.
   uint64_t events_dropped = 0;
   uint64_t bytes_dropped = 0;
-  /// Accesses observed OUTSIDE any barrier-interval segment (v4 metas):
+  /// Accesses observed OUTSIDE any barrier-interval segment:
   /// counted and dropped by the writer instead of silently corrupting the
   /// open segment's (data_begin, size) accounting.
   uint64_t accesses_dropped = 0;
-  /// Total accesses the degradation governor told the writer to shed
-  /// (v5 metas). Sum over intervals[i].degraded_dropped plus any shed while
-  /// no segment was open.
+  /// Total accesses the degradation governor told the writer to shed. Sum
+  /// over intervals[i].degraded_dropped plus any shed while no segment was
+  /// open.
   uint64_t degraded_dropped = 0;
-  /// Accesses the static pre-filter elided under a disjointness proof
-  /// (v6 metas). Sum over intervals[i].elided. Informational, not loss:
-  /// each elided access has an exact footprint receipt in the log.
+  /// Accesses the static pre-filter elided under a disjointness proof. Sum
+  /// over intervals[i].elided. Informational, not loss: each elided access
+  /// has an exact footprint receipt in the log.
   uint64_t elided_accesses = 0;
-  /// Elided accesses whose receipt could not be emitted (v6 metas). This IS
+  /// Elided accesses whose receipt could not be emitted. This IS
   /// potential loss and is accounted like degradation for soundness.
   uint64_t elided_lost = 0;
-  /// Governor level changes, in order (v5 metas).
+  /// Governor level changes, in order.
   std::vector<DegradationTransition> transitions;
   std::vector<IntervalMeta> intervals;
 
-  /// Always writes the current (v6) meta format.
+  /// Writes the SWM6 meta format.
   Bytes Encode() const;
-  /// Decodes v1 ("SWMF") through v6 ("SWM6") meta files.
+  /// Decodes an SWM6 meta file. The retired SWMF and SWM2..SWM5 versions,
+  /// and an SWM6 header naming a retired log format, fail with Unsupported.
   ///
   /// With `salvage`, a record-level parse failure keeps the cleanly-decoded
   /// prefix instead of failing the whole file (a crashed run's checkpoint
@@ -142,7 +135,7 @@ struct MetaFile {
 /// incremental checkpoints and MetaFile::Encode share one serializer.
 struct MetaHeaderInfo {
   uint32_t thread_id = 0;
-  uint8_t log_format = kTraceFormatV2;
+  uint8_t log_format = kTraceFormatV3;
   bool crash_sealed = false;
   uint8_t seal_signo = 0;
   uint64_t events_dropped = 0;
@@ -155,22 +148,17 @@ struct MetaHeaderInfo {
   uint64_t record_count = 0;
 };
 
-/// Serializes the v5 meta header (everything before the interval records).
+/// Serializes the SWM6 meta header (everything before the interval records).
 /// Shared by MetaFile::Encode and the writer's incremental checkpoints,
 /// which append pre-serialized records after it.
 void EncodeMetaHeader(ByteWriter& w, const MetaHeaderInfo& info);
 
-constexpr uint32_t kMetaMagic = 0x53574d46;    // "SWMF" (meta format v1)
-constexpr uint32_t kMetaMagicV2 = 0x53574d32;  // "SWM2" (meta format v2)
-constexpr uint32_t kMetaMagicV3 = 0x53574d33;  // "SWM3" (meta format v3)
-constexpr uint32_t kMetaMagicV4 = 0x53574d34;  // "SWM4" (meta format v4)
-constexpr uint32_t kMetaMagicV5 = 0x53574d35;  // "SWM5" (meta format v5)
 constexpr uint32_t kMetaMagicV6 = 0x53574d36;  // "SWM6" (meta format v6)
 
-/// v5 header flag bits (the byte at kMetaFlagsOffset).
+/// Header flag bits (the byte at kMetaFlagsOffset).
 constexpr uint8_t kMetaFlagCrashSealed = 0x01;
 
-/// Fixed byte offsets of the v5 flags and seal-signo bytes. The fatal-signal
+/// Fixed byte offsets of the flags and seal-signo bytes. The fatal-signal
 /// sealer publishes a pre-serialized meta image built with
 /// crash_sealed=true / signo=0 and, inside the handler, only needs to patch
 /// the one signo byte at kMetaSealSignoOffset — no serialization runs in

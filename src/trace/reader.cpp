@@ -43,9 +43,19 @@ bool MagicAt(const uint8_t* p, uint32_t magic) {
 }
 
 bool AnyMagicAt(const uint8_t* p) {
-  return MagicAt(p, kFrameMagic) || MagicAt(p, kFrameMagicV2) ||
-         MagicAt(p, kFrameMagicV3) || MagicAt(p, kFrameMagicGap) ||
+  return MagicAt(p, kFrameMagicV3) || MagicAt(p, kFrameMagicGap) ||
          MagicAt(p, kFrameMagicCrash);
+}
+
+/// The retired-format refusal for a frame of a retired version ("SWDF",
+/// "SWF2") at `p`, or Ok. Salvage skips such frames without decoding them.
+Status RetiredMagicAt(const uint8_t* p) {
+  const uint32_t magic = static_cast<uint32_t>(p[0]) |
+                         static_cast<uint32_t>(p[1]) << 8 |
+                         static_cast<uint32_t>(p[2]) << 16 |
+                         static_cast<uint32_t>(p[3]) << 24;
+  const Status s = CheckDataFrameMagic(magic);
+  return s.code() == ErrorCode::kUnsupported ? s : Status::Ok();
 }
 
 /// Offset of the first frame magic at or after `from`, or `size` if none.
@@ -61,7 +71,6 @@ struct ScannedFrame {
   uint64_t file_offset = 0;
   uint64_t encoded_size = 0;
   uint64_t raw_size = 0;
-  uint8_t payload_format = 0;  // 0 for gaps and unidentifiable regions
   std::string codec;
   bool is_gap = false;
   uint64_t dropped_events = 0;
@@ -81,7 +90,9 @@ struct ScannedFrame {
 ///     (or exactly at EOF): a known-size hole - later offsets stay trusted;
 ///   - unparseable header / implausible claimed end: unknown-size hole -
 ///     trust is lost and every later frame is "unaddressable";
-///   - gap frame: record-time drop marker, a trusted hole by construction.
+///   - gap frame: record-time drop marker, a trusted hole by construction;
+///   - retired-format frame: an Unsupported region, skipped undecoded to the
+///     next valid magic - an unknown-size hole, so trust is lost.
 void ScanLogBuffer(const uint8_t* data, size_t size, bool verify_payloads,
                    std::vector<ScannedFrame>* frames, SalvageStats* stats) {
   size_t off = 0;
@@ -93,6 +104,21 @@ void ScanLogBuffer(const uint8_t* data, size_t size, bool verify_payloads,
     sf.offset_trusted = trusted;
     sf.logical_begin = logical;
 
+    if (size - off >= 4) {
+      Status retired = RetiredMagicAt(data + off);
+      if (!retired.ok()) {
+        const size_t next = FindNextMagic(data, size, off + 4);
+        if (next < size) stats->resyncs++;
+        stats->bytes_skipped += next - off;
+        stats->frames_corrupt++;
+        trusted = false;
+        sf.encoded_size = next - off;
+        sf.status = std::move(retired);
+        frames->push_back(std::move(sf));
+        off = next;
+        continue;
+      }
+    }
     if (size - off < 4 || !AnyMagicAt(data + off)) {
       const size_t next = FindNextMagic(data, size, off + 1);
       if (next == size) {
@@ -158,10 +184,7 @@ void ScanLogBuffer(const uint8_t* data, size_t size, bool verify_payloads,
       bad = s;
     } else {
       ByteReader r(data + off, size - off);
-      uint32_t magic = 0;
-      (void)r.GetU32(&magic);
-      const uint8_t format =
-          magic == kFrameMagic ? 1 : magic == kFrameMagicV2 ? 2 : 3;
+      (void)r.Skip(4);  // the "SW3F" magic AnyMagicAt matched
       std::string codec;
       uint64_t raw_size = 0, payload_size = 0, checksum = 0;
       Status s = r.GetString(&codec);
@@ -174,7 +197,6 @@ void ScanLogBuffer(const uint8_t* data, size_t size, bool verify_payloads,
       if (s.ok() && payload_size <= r.remaining()) {
         const uint64_t header_size = r.position();
         const uint64_t frame_size = header_size + payload_size;
-        sf.payload_format = format;
         sf.codec = codec;
         sf.raw_size = raw_size;
         sf.encoded_size = frame_size;
@@ -285,9 +307,8 @@ Result<LogReader> LogReader::Open(const std::string& path,
       } else if (!sf.status.ok()) {
         state = FrameState::kCorrupt;
       }
-      reader.frames_.push_back(FrameIndex{logical, sf.raw_size, sf.file_offset,
-                                          sf.encoded_size, sf.payload_format,
-                                          state});
+      reader.frames_.push_back(
+          FrameIndex{logical, sf.raw_size, sf.file_offset, sf.encoded_size, state});
       logical += sf.raw_size;
     }
     reader.total_logical_ = logical;
@@ -323,7 +344,6 @@ Result<LogReader> LogReader::Open(const std::string& path,
 
     ByteReader r(header, got);
     uint32_t magic;
-    uint8_t format = 1;
     std::string codec;
     uint64_t raw_size, payload_size, checksum;
     Status s = r.GetU32(&magic);
@@ -341,7 +361,7 @@ Result<LogReader> LogReader::Open(const std::string& path,
                                std::to_string(file_offset) + ": " + s.ToString());
       }
       reader.frames_.push_back(FrameIndex{logical, 0, file_offset,
-                                          view.frame_size, 0, FrameState::kCrash});
+                                          view.frame_size, FrameState::kCrash});
       reader.stats_.crash_markers++;
       reader.stats_.crash_signo = view.crash_signo;
       file_offset += view.frame_size;
@@ -361,7 +381,7 @@ Result<LogReader> LogReader::Open(const std::string& path,
                                std::to_string(file_offset) + ": " + s.ToString());
       }
       reader.frames_.push_back(FrameIndex{logical, view.raw_size, file_offset,
-                                          view.frame_size, 0, FrameState::kGap});
+                                          view.frame_size, FrameState::kGap});
       reader.stats_.gap_frames++;
       reader.stats_.bytes_dropped_at_record += view.raw_size;
       reader.stats_.events_dropped_at_record += view.dropped_events;
@@ -370,17 +390,7 @@ Result<LogReader> LogReader::Open(const std::string& path,
       continue;
     }
 
-    if (s.ok()) {
-      if (magic == kFrameMagic) {
-        format = 1;
-      } else if (magic == kFrameMagicV2) {
-        format = 2;
-      } else if (magic == kFrameMagicV3) {
-        format = 3;
-      } else {
-        s = Status::Corrupt("bad frame magic");
-      }
-    }
+    if (s.ok()) s = CheckDataFrameMagic(magic);
     if (s.ok()) s = r.GetString(&codec);
     if (s.ok()) s = r.GetVarU64(&raw_size);
     if (s.ok()) s = r.GetVarU64(&payload_size);
@@ -396,13 +406,17 @@ Result<LogReader> LogReader::Open(const std::string& path,
     }
     if (!s.ok()) {
       std::fclose(f);
-      return Status::Corrupt("frame header at offset " + std::to_string(file_offset) +
-                             ": " + s.ToString());
+      const std::string where = "frame header at offset " + std::to_string(file_offset);
+      // A retired format is refused as such, not reported as damage.
+      if (s.code() == ErrorCode::kUnsupported) {
+        return Status::Unsupported(path + ": " + where + ": " + s.message());
+      }
+      return Status::Corrupt(where + ": " + s.ToString());
     }
     const uint64_t header_size = r.position();
     const uint64_t frame_size = header_size + payload_size;
-    reader.frames_.push_back(FrameIndex{logical, raw_size, file_offset,
-                                        frame_size, format, FrameState::kOk});
+    reader.frames_.push_back(
+        FrameIndex{logical, raw_size, file_offset, frame_size, FrameState::kOk});
     reader.stats_.frames_ok++;
     logical += raw_size;
     file_offset += frame_size;
@@ -495,60 +509,43 @@ Status LogReader::StreamRange(uint64_t begin, uint64_t size,
         }
       }
 
-      if (it->payload_format == kTraceFormatV1) {
-        // Fixed-size events: slice the overlap directly.
-        if ((slice_lo - frame_lo) % kEventBytes != 0 ||
-            (slice_hi - slice_lo) % kEventBytes != 0) {
+      // Variable-length delta events: the coder state is only valid from the
+      // frame start, so decode from there and discard events before the
+      // slice - unless a cursor from a previous call already holds valid
+      // state at or before the slice, in which case resume there. Interval
+      // boundaries always fall on event boundaries; anything else means the
+      // meta and log disagree.
+      uint64_t base = 0;
+      EventCodecState state;
+      uint64_t pos = frame_lo;
+      if (cursor && cursor->valid && cursor->frame_begin == frame_lo &&
+          cursor->pos <= slice_lo && cursor->byte_offset <= frame_data->size()) {
+        base = cursor->byte_offset;
+        state = cursor->state;
+        pos = cursor->pos;
+      }
+      if (cursor) cursor->valid = false;  // re-validated on a clean finish
+      ByteReader events(frame_data->data() + base, frame_data->size() - base);
+      while (pos < slice_hi && !events.AtEnd()) {
+        RawEvent e;
+        SWORD_RETURN_IF_ERROR(DecodeEventV3(events, state, &e));
+        const uint64_t next = frame_lo + base + events.position();
+        if (next <= slice_lo) {
+          pos = next;
+          continue;  // wholly before the range
+        }
+        if (pos < slice_lo || next > slice_hi) {
           return Status::Invalid("range not event-aligned");
         }
-        ByteReader events(frame_data->data() + (slice_lo - frame_lo),
-                          slice_hi - slice_lo);
-        while (!events.AtEnd()) {
-          RawEvent e;
-          SWORD_RETURN_IF_ERROR(DecodeEvent(events, &e));
-          fn(e);
-        }
-      } else {
-        // Variable-length delta events: the coder state is only valid from the
-        // frame start, so decode from there and discard events before the
-        // slice - unless a cursor from a previous call already holds valid
-        // state at or before the slice, in which case resume there. Interval
-        // boundaries always fall on event boundaries; anything else means the
-        // meta and log disagree.
-        uint64_t base = 0;
-        EventCodecState state;
-        uint64_t pos = frame_lo;
-        if (cursor && cursor->valid && cursor->frame_begin == frame_lo &&
-            cursor->pos <= slice_lo && cursor->byte_offset <= frame_data->size()) {
-          base = cursor->byte_offset;
-          state = cursor->state;
-          pos = cursor->pos;
-        }
-        if (cursor) cursor->valid = false;  // re-validated on a clean finish
-        ByteReader events(frame_data->data() + base, frame_data->size() - base);
-        const bool v3 = it->payload_format >= kTraceFormatV3;
-        while (pos < slice_hi && !events.AtEnd()) {
-          RawEvent e;
-          SWORD_RETURN_IF_ERROR(v3 ? DecodeEventV3(events, state, &e)
-                                   : DecodeEventV2(events, state, &e));
-          const uint64_t next = frame_lo + base + events.position();
-          if (next <= slice_lo) {
-            pos = next;
-            continue;  // wholly before the range
-          }
-          if (pos < slice_lo || next > slice_hi) {
-            return Status::Invalid("range not event-aligned");
-          }
-          fn(e);
-          pos = next;
-        }
-        if (cursor) {
-          cursor->frame_begin = frame_lo;
-          cursor->pos = pos;
-          cursor->byte_offset = base + events.position();
-          cursor->state = state;
-          cursor->valid = true;
-        }
+        fn(e);
+        pos = next;
+      }
+      if (cursor) {
+        cursor->frame_begin = frame_lo;
+        cursor->pos = pos;
+        cursor->byte_offset = base + events.position();
+        cursor->state = state;
+        cursor->valid = true;
       }
       return Status::Ok();
     }();
@@ -563,10 +560,9 @@ Status LogReader::StreamRange(uint64_t begin, uint64_t size,
 Status LogReader::ReadRange(uint64_t begin, uint64_t size,
                             std::vector<RawEvent>* out) const {
   out->clear();
-  // Heuristic: exact for v1 (16 bytes/event); a safe floor for the denser v2.
-  // Clamped so a corrupt index claiming a huge logical range cannot force an
-  // enormous allocation before streaming even starts.
-  out->reserve(std::min<uint64_t>(size / kEventBytes, 1u << 20));
+  // A capacity hint only. Clamped so a corrupt index claiming a huge logical
+  // range cannot force an enormous allocation before streaming even starts.
+  out->reserve(std::min<uint64_t>(size / 16, 1u << 20));
   return StreamRange(begin, size, [&](const RawEvent& e) { out->push_back(e); });
 }
 
@@ -587,7 +583,6 @@ Result<SalvageStats> LogReader::VerifyLog(
     rec.file_offset = sf.file_offset;
     rec.encoded_size = sf.encoded_size;
     rec.raw_size = sf.raw_size;
-    rec.payload_format = sf.payload_format;
     rec.codec = sf.codec;
     rec.is_gap = sf.is_gap;
     rec.dropped_events = sf.dropped_events;

@@ -7,12 +7,11 @@
 // a time, invoking the visitor per event - the paper's "streaming algorithm
 // that reads access information from log files in small chunks".
 //
-// Frames self-tag their payload format (the frame magic, see
-// compress/frame.h): v1 frames hold fixed 16-byte events and can be sliced
-// at any event boundary; v2 frames hold delta-coded variable-length events
-// whose decoder state starts fresh at the frame boundary, so a mid-frame
-// range is served by decoding from the frame start and discarding the
-// prefix. One file may mix formats; the reader dispatches per frame.
+// Frames hold delta-coded variable-length events (format v3, see
+// trace/event.h) whose decoder state starts fresh at the frame boundary, so
+// a mid-frame range is served by decoding from the frame start and
+// discarding the prefix. A frame of a retired format ("SWDF", "SWF2") fails
+// a strict open with Unsupported; salvage skips it undecoded.
 //
 // Salvage mode (SalvagePolicy): a production run can be killed mid-flush or
 // hit disk corruption; strict open would reject the whole file at the first
@@ -122,7 +121,6 @@ struct FrameRecord {
   uint64_t file_offset = 0;
   uint64_t encoded_size = 0; // on-disk bytes (skipped bytes for bad regions)
   uint64_t raw_size = 0;     // decompressed size (0 if unknown)
-  uint8_t payload_format = 0;  // kTraceFormatV*; 0 for gaps/unknown
   std::string codec;
   bool is_gap = false;
   uint64_t dropped_events = 0;
@@ -130,10 +128,10 @@ struct FrameRecord {
   uint8_t crash_signo = 0;
   bool offset_trusted = false;  // logical_begin is meaningful
   uint64_t logical_begin = 0;
-  Status status;  // ok, or why the frame is corrupt
+  Status status;  // ok, or why the frame is corrupt (or unsupported)
 };
 
-/// Resumable decode position inside one delta-coded (v2/v3) frame. The
+/// Resumable decode position inside one delta-coded frame. The
 /// codec state is only valid from a frame's start, so a plain StreamRange
 /// re-decodes the frame's prefix on every call - quadratic when many small
 /// segments share one frame. A caller that walks a log in mostly-ascending
@@ -209,7 +207,6 @@ class LogReader {
     uint64_t raw_size;       // decompressed size (hole size for kCorrupt/kGap)
     uint64_t file_offset;    // where the frame starts in the file
     uint64_t file_size;      // encoded frame size
-    uint8_t payload_format;  // event encoding (kTraceFormatV*)
     FrameState state;
   };
 

@@ -29,19 +29,13 @@ size_t FilterIndex(uint32_t pc, uint8_t flags, uint8_t size) {
 ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& config)
     : thread_id_(thread_id),
       config_(config),
-      capacity_events_(config.buffer_bytes / kEventBytes),
-      capacity_bytes_(capacity_events_ * kEventBytes),
-      max_event_bytes_(config.format >= kTraceFormatV3 ? kMaxEventBytesV3
-                                                       : kMaxEventBytesV2),
-      fastpath_(config.format >= kTraceFormatV3),
-      coalesce_(fastpath_ && config.coalesce) {
+      capacity_events_(config.buffer_bytes / kBufferBytesPerEvent),
+      capacity_bytes_(capacity_events_ * kBufferBytesPerEvent),
+      coalesce_(config.coalesce) {
   assert(config_.flusher && "a Flusher is required");
-  assert(capacity_events_ > 0 && "buffer too small for a single event");
-  assert((config_.format >= kTraceFormatV1 && config_.format <= kTraceFormatV3) &&
-         "unknown trace format");
-  assert((config_.format == kTraceFormatV1 || capacity_bytes_ >= max_event_bytes_) &&
+  assert(capacity_bytes_ >= kMaxEventBytesV3 &&
          "buffer too small for one encoded event");
-  if (fastpath_ && config_.access_filter) {
+  if (config_.access_filter) {
     filter_ = std::make_unique<FilterSlot[]>(kFilterSlots);
   }
   if (config_.governor) shed_ = std::make_unique<ShedSlot[]>(kFilterSlots);
@@ -51,7 +45,6 @@ ThreadTraceWriter::ThreadTraceWriter(uint32_t thread_id, const WriterConfig& con
   // accounting follows the buffer through the flush pipeline.
   buffer_ = config_.flusher->pool().Acquire(capacity_bytes_);
   meta_.thread_id = thread_id;
-  meta_.log_format = config_.format;
   // Start the log file empty so appends from a previous run never leak in,
   // and drop an empty meta checkpoint so a process killed before the first
   // barrier interval still leaves a well-formed (if empty) trace.
@@ -126,46 +119,20 @@ void ThreadTraceWriter::EncodeToBuffer(const RawEvent& event) {
       return;
     }
   }
-  if (config_.format == kTraceFormatV1) {
-    if (buffer_.size() + kEventBytes > capacity_bytes_) {
-      FlushBuffer(true);
-      if (buffer_.capacity() == 0) {  // reacquire failed (pool exhausted)
-        PoolExhaustedShed();
-        return;
-      }
+  // Flush on the logical event-count capacity (the paper's knob) or when
+  // the next event might not fit the reserved bytes (tiny-buffer guard).
+  if (buffer_events_ >= capacity_events_ ||
+      buffer_.size() + kMaxEventBytesV3 > capacity_bytes_) {
+    FlushBuffer(true);
+    if (buffer_.capacity() == 0) {  // reacquire failed (pool exhausted)
+      PoolExhaustedShed();
+      return;
     }
-    // Hot path: one 16-byte append, little-endian (this is EncodeEvent's
-    // layout, open-coded so the per-access cost stays in the nanoseconds).
-    const size_t offset = buffer_.size();
-    buffer_.resize(offset + kEventBytes);
-    uint8_t* p = buffer_.data() + offset;
-    p[0] = static_cast<uint8_t>(event.kind);
-    p[1] = event.flags;
-    p[2] = event.size;
-    p[3] = 0;
-    for (int i = 0; i < 4; i++) p[4 + i] = static_cast<uint8_t>(event.pc >> (8 * i));
-    for (int i = 0; i < 8; i++) p[8 + i] = static_cast<uint8_t>(event.addr >> (8 * i));
-    logical_offset_ += kEventBytes;
-  } else {
-    // Flush on the logical event-count capacity (the paper's knob) or when
-    // the next event might not fit the reserved bytes (tiny-buffer guard).
-    if (buffer_events_ >= capacity_events_ ||
-        buffer_.size() + max_event_bytes_ > capacity_bytes_) {
-      FlushBuffer(true);
-      if (buffer_.capacity() == 0) {  // reacquire failed (pool exhausted)
-        PoolExhaustedShed();
-        return;
-      }
-    }
-    const size_t before = buffer_.size();
-    ByteWriter w(&buffer_);
-    if (config_.format >= kTraceFormatV3) {
-      EncodeEventV3(event, codec_state_, w);
-    } else {
-      EncodeEventV2(event, codec_state_, w);
-    }
-    logical_offset_ += buffer_.size() - before;
   }
+  const size_t before = buffer_.size();
+  ByteWriter w(&buffer_);
+  EncodeEventV3(event, codec_state_, w);
+  logical_offset_ += buffer_.size() - before;
   buffer_events_++;
   events_logged_.Add(1);
 }
@@ -254,10 +221,6 @@ void ThreadTraceWriter::AppendAccess(uint64_t addr, uint8_t size, uint8_t flags,
       return;
     }
   }
-  if (!fastpath_) {
-    EncodeToBuffer(RawEvent::Access(addr, size, flags, pc));
-    return;
-  }
   if (filter_) {
     FilterSlot& slot = filter_[FilterIndex(pc, flags, size)];
     if (slot.gen == filter_gen_ && slot.addr == addr && slot.pc == pc &&
@@ -315,7 +278,7 @@ void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
   if (config_.governor) {
     PollGovernor();
     // One shed decision for the whole range (it is one site); the count
-    // shed matches what the v1/v2 chunk loop would have appended.
+    // shed matches the range's per-chunk access count.
     if (current_level_ != 0 &&
         ShedAccess(pc, flags, static_cast<uint8_t>(kChunk))) {
       const uint64_t shed = chunks + (tail ? 1 : 0);
@@ -323,17 +286,6 @@ void ThreadTraceWriter::AppendRange(uint64_t addr, uint64_t bytes,
       degraded_dropped_.Add(shed);
       return;
     }
-  }
-  if (!fastpath_) {
-    // v1/v2: the historical loop, one event per <= 128-byte piece.
-    uint64_t a = addr;
-    for (uint64_t left = bytes; left > 0;) {
-      const uint8_t c = left > kChunk ? kChunk : static_cast<uint8_t>(left);
-      EncodeToBuffer(RawEvent::Access(a, c, flags, pc));
-      a += c;
-      left -= c;
-    }
-    return;
   }
   MaterializePending();
   // A range's chunks can extend same-key tree nodes past addresses the
@@ -362,7 +314,7 @@ void ThreadTraceWriter::FlushBuffer(bool reacquire) {
   Bytes raw;
   raw.swap(buffer_);
   config_.flusher->AppendFrame(config_.log_path, std::move(raw), config_.codec,
-                               config_.format, buffer_events_);
+                               buffer_events_);
   if (reacquire) buffer_ = config_.flusher->pool().Acquire(capacity_bytes_);
   buffer_events_ = 0;
   codec_state_ = EventCodecState{};  // frames are independently decodable
@@ -385,7 +337,6 @@ Bytes ThreadTraceWriter::EncodeMetaSnapshot(bool sealed) const {
   const DropRecord dropped = config_.flusher->DroppedFor(config_.log_path);
   MetaHeaderInfo info;
   info.thread_id = thread_id_;
-  info.log_format = config_.format;
   info.crash_sealed = sealed;
   info.seal_signo = 0;  // the signal handler patches the real signo in place
   info.events_dropped = dropped.events;
@@ -454,7 +405,7 @@ void ThreadTraceWriter::EndSegment() {
     return;
   }
   ByteWriter w(&serialized_records_);
-  m.Serialize(w, /*version=*/4);
+  m.Serialize(w);
   serialized_count_++;
   // Crash-consistency: checkpoint the meta at barrier-interval granularity.
   // The atomic replace means a reader (or the offline analyzer after a

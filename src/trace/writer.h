@@ -12,13 +12,12 @@
 //    every interval its (data_begin, size) coordinates up front.
 //
 // The buffer's LOGICAL capacity is counted in events - buffer_bytes /
-// kEventBytes - regardless of encoding format, so the paper's "2 MB buffer
-// = 128K events" knob means the same thing for every format. With the v2
-// encoding the same event count occupies far fewer bytes, which is the
-// point: fewer flushes, smaller logs. Format v3 adds the per-access fast
-// path on top: AppendAccess routes instrumented accesses through a
-// duplicate filter and a strided-run coalescer, so hot sweep loops log one
-// kAccessRun event instead of thousands of access events.
+// kBufferBytesPerEvent - so the paper's "2 MB buffer = 128K events" knob
+// keeps its meaning even though a v3 event (trace/event.h) occupies only a
+// few bytes: fewer flushes, smaller logs. AppendAccess routes instrumented
+// accesses through a duplicate filter and a strided-run coalescer, so hot
+// sweep loops log one kAccessRun event instead of thousands of access
+// events.
 //
 // Thread-compatibility: a writer is driven by exactly one OS thread; only
 // the Flusher is shared.
@@ -56,20 +55,23 @@ class alignas(lockfree::kCacheLine) OwnerCounter {
   std::atomic<uint64_t> v_{0};
 };
 
+/// Buffer bytes per logical event slot: the paper's 16-byte event, which
+/// sizes the event-count capacity of a buffer (2 MB = 128K events).
+constexpr uint64_t kBufferBytesPerEvent = 16;
+
 struct WriterConfig {
   std::string log_path;
   std::string meta_path;
   uint64_t buffer_bytes = 2 * 1024 * 1024;  // the paper's default bound
   const Compressor* codec = nullptr;        // null = DefaultCompressor()
   Flusher* flusher = nullptr;               // required
-  uint8_t format = kTraceFormatV3;          // event encoding (kTraceFormatV*)
   /// Suppress re-logging of an access identical to the most recent one with
   /// the same (pc, flags, size) in the current segment under the same
-  /// lockset. Effective for format v3 only; sound because the replayed tree
-  /// folds such a duplicate into the existing node without structural change.
+  /// lockset. Sound because the replayed tree folds such a duplicate into
+  /// the existing node without structural change.
   bool access_filter = true;
   /// Coalesce per-(pc, flags, size) arithmetic address runs into single
-  /// kAccessRun events. Effective for format v3 only.
+  /// kAccessRun events.
   bool coalesce = true;
   /// Checkpoint the meta file (write-temp + atomic rename) every N closed
   /// segments, so a killed process leaves its trace analyzable up to the
@@ -99,7 +101,6 @@ class ThreadTraceWriter {
   ThreadTraceWriter& operator=(const ThreadTraceWriter&) = delete;
 
   uint32_t thread_id() const { return thread_id_; }
-  uint8_t format() const { return config_.format; }
 
   /// Appends one event, flushing the buffer to the log file first if full.
   /// Out-of-band events (mutex ops) materialize any pending coalescer run
@@ -108,15 +109,13 @@ class ThreadTraceWriter {
   void Append(const RawEvent& event);
 
   /// The per-access fast path: appends one instrumented load/store through
-  /// the duplicate filter and the strided-run coalescer (format v3; plain
-  /// Append otherwise). Outside a segment the access is counted and
-  /// dropped - see accesses_dropped().
+  /// the duplicate filter and the strided-run coalescer. Outside a segment
+  /// the access is counted and dropped - see accesses_dropped().
   void AppendAccess(uint64_t addr, uint8_t size, uint8_t flags, uint32_t pc);
 
   /// Appends a bulk access over [addr, addr+bytes): one run event of
-  /// 128-byte chunks plus a tail access (format v3), or the historical
-  /// per-chunk event loop (v1/v2). Equivalent to the chunk loop by
-  /// construction.
+  /// 128-byte chunks plus a tail access, equivalent by construction to one
+  /// access per <= 128-byte chunk.
   void AppendRange(uint64_t addr, uint64_t bytes, uint8_t flags, uint32_t pc);
 
   /// Appends a pre-filter footprint receipt into the open segment: one run
@@ -212,14 +211,12 @@ class ThreadTraceWriter {
 
   const uint32_t thread_id_;
   WriterConfig config_;
-  const uint64_t capacity_events_;  // logical capacity: buffer_bytes / 16
+  const uint64_t capacity_events_;  // buffer_bytes / kBufferBytesPerEvent
   const uint64_t capacity_bytes_;
-  const uint64_t max_event_bytes_;  // headroom bound for the format
-  const bool fastpath_;             // format >= v3: filter/coalescer legal
 
   Bytes buffer_;                  // encoded events; acquired from the pool
   uint64_t buffer_events_ = 0;    // events currently in buffer_
-  EventCodecState codec_state_;   // v2/v3 delta state; reset at each flush
+  EventCodecState codec_state_;   // delta state; reset at each flush
   uint64_t logical_offset_ = 0;   // total event bytes ever appended
   MetaFile meta_;
   // Each kept record is serialized once, when its segment closes; a meta

@@ -53,6 +53,26 @@ TEST(Args, UnknownFlagDetection) {
   EXPECT_EQ(unknown[0], "--typo");
 }
 
+TEST(Args, IntegersAreWholeAndInRange) {
+  ArgParser args = Parse({"--a", "abc", "--b", "5x", "--c", "12", "--d", "99",
+                          "--e", "-3", "--f"});
+  EXPECT_EQ(args.GetInt("a", 7), 7);  // not a number: the default, plus an error
+  EXPECT_EQ(args.GetInt("b", 7), 7);  // a parsable prefix is not a number
+  EXPECT_EQ(args.GetInt("c", 7, 0, 20), 12);
+  EXPECT_EQ(args.GetInt("d", 7, 0, 20), 7);  // out of range
+  EXPECT_EQ(args.GetInt("e", 7), -3);
+  EXPECT_EQ(args.GetInt("f", 7), 7);  // bare flag: no value
+  EXPECT_EQ(args.GetInt("absent", 7, 0, 5), 7);  // absent is not an error
+  const auto& errors = args.errors();
+  ASSERT_EQ(errors.size(), 4u);
+  EXPECT_NE(errors[0].find("--a must be an integer in ["), std::string::npos);
+  EXPECT_NE(errors[1].find("got '5x'"), std::string::npos);
+  EXPECT_NE(errors[2].find("--d must be an integer in [0, 20], got '99'"),
+            std::string::npos);
+  EXPECT_NE(errors[3].find("--f must be an integer"), std::string::npos);
+  EXPECT_TRUE(args.UnknownFlags().empty());
+}
+
 TEST(Args, BoolValueForms) {
   ArgParser args = Parse({"--a=true", "--b=1", "--c=false"});
   EXPECT_TRUE(args.GetBool("a"));

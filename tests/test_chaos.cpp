@@ -251,7 +251,6 @@ TEST(GovernorWriter, SummaryLevelShedsWithExactMetaAccounting) {
   wc.log_path = dir.File("t.log");
   wc.meta_path = dir.File("t.meta");
   wc.flusher = &flusher;
-  wc.format = trace::kTraceFormatV3;
   wc.access_filter = false;  // isolate the governor's shedding
   wc.coalesce = false;
   wc.governor = &gov;
@@ -296,7 +295,7 @@ TEST(GovernorWriter, SummaryLevelShedsWithExactMetaAccounting) {
   ASSERT_EQ(meta.intervals.size(), 1u);
   EXPECT_EQ(meta.intervals[0].degraded_dropped, shed_expected);
   EXPECT_EQ(meta.intervals[0].degradation_level, 3u);
-  EXPECT_EQ(meta.intervals[0].EventCount(), 10u);
+  EXPECT_EQ(meta.intervals[0].event_count, 10u);
   // The writer polls the packed governor state: three rapid back-to-back
   // transitions coalesce into one observed record at the final level (one
   // atomic word, so the level/reason pair can never be torn).
@@ -314,7 +313,6 @@ TEST(GovernorWriter, ShedResetsPerSegment) {
   wc.log_path = dir.File("t.log");
   wc.meta_path = dir.File("t.meta");
   wc.flusher = &flusher;
-  wc.format = trace::kTraceFormatV3;
   wc.access_filter = false;
   wc.coalesce = false;
   wc.governor = &gov;
@@ -344,7 +342,7 @@ TEST(GovernorWriter, ShedResetsPerSegment) {
   ASSERT_TRUE(trace::MetaFile::Decode(bytes.value(), &meta).ok());
   ASSERT_EQ(meta.intervals.size(), 3u);
   for (const auto& rec : meta.intervals) {
-    EXPECT_EQ(rec.EventCount(), 1u);
+    EXPECT_EQ(rec.event_count, 1u);
     EXPECT_EQ(rec.degraded_dropped, 1u);
     EXPECT_EQ(rec.degradation_level, 3u);
   }
@@ -359,7 +357,6 @@ TEST(Seal, SealFromSignalWritesMarkerAndSealedMeta) {
   wc.log_path = dir.File("t.log");
   wc.meta_path = dir.File("t.meta");
   wc.flusher = &flusher;
-  wc.format = trace::kTraceFormatV3;
   wc.crash_seal = true;
   auto writer = std::make_unique<trace::ThreadTraceWriter>(0, wc);
   ASSERT_NE(writer->seal_slot(), trace::SealRegistry::kNoSlot);
@@ -395,7 +392,7 @@ TEST(Seal, SealFromSignalWritesMarkerAndSealedMeta) {
   EXPECT_TRUE(meta.crash_sealed);
   EXPECT_EQ(meta.seal_signo, SIGSEGV);
   ASSERT_EQ(meta.intervals.size(), 1u);
-  EXPECT_EQ(meta.intervals[0].EventCount(), 32u);
+  EXPECT_EQ(meta.intervals[0].event_count, 32u);
 
   // A strict reader also accepts the sealed log (markers are legal frames).
   auto strict = trace::LogReader::Open(wc.log_path);
@@ -414,7 +411,6 @@ TEST(Seal, SealedStoreAnalyzesAndReportsCrash) {
   wc.log_path = dir.path() + "/sword_t0.log";
   wc.meta_path = dir.path() + "/sword_t0.meta";
   wc.flusher = &flusher;
-  wc.format = trace::kTraceFormatV3;
   wc.crash_seal = true;
   auto writer = std::make_unique<trace::ThreadTraceWriter>(0, wc);
   writer->BeginSegment(SegmentMeta(0));
@@ -474,7 +470,6 @@ TEST(SealDeath, FatalSignalSealsLiveTrace) {
         wc.log_path = dir + "/sword_t0.log";
         wc.meta_path = dir + "/sword_t0.meta";
         wc.flusher = &flusher;
-        wc.format = trace::kTraceFormatV3;
         wc.crash_seal = true;
         trace::ThreadTraceWriter writer(0, wc);
         writer.BeginSegment(SegmentMeta(0));
@@ -497,7 +492,7 @@ TEST(SealDeath, FatalSignalSealsLiveTrace) {
   EXPECT_EQ(store.value().integrity().crash_markers, 1u);
   ASSERT_EQ(store.value().thread_count(), 1u);
   EXPECT_EQ(store.value().threads()[0].meta.intervals.size(), 1u);
-  EXPECT_EQ(store.value().threads()[0].meta.intervals[0].EventCount(), 64u);
+  EXPECT_EQ(store.value().threads()[0].meta.intervals[0].event_count, 64u);
   offline::AnalysisResult analysis = offline::Analyze(store.value());
   EXPECT_TRUE(analysis.status.ok()) << analysis.status.ToString();
   std::filesystem::remove_all(dir);
@@ -507,7 +502,7 @@ TEST(SealDeath, FatalSignalSealsLiveTrace) {
 
 // Every plan runs the same workload under the full tracer with the fault
 // injected, then salvages and analyzes the result. ≥12 plans; the CI chaos
-// job sweeps these same strings across all three event formats.
+// job also sweeps seeded plans through sword-run.
 const char* const kChaosPlans[] = {
     "transient=3",                        // EINTR/EAGAIN retries
     "sync_fail=2",                        // fsync EINTR (unified retry)
@@ -526,13 +521,11 @@ const char* const kChaosPlans[] = {
     "seed=3",
 };
 
-class ChaosMatrix
-    : public ::testing::TestWithParam<std::tuple<uint8_t, const char*>> {};
+class ChaosMatrix : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ChaosMatrix, TracerSurvivesAndAccountingReconciles) {
-  const uint8_t format = std::get<0>(GetParam());
-  const std::string plan = std::get<1>(GetParam());
-  SCOPED_TRACE("fault plan: " + plan + " format v" + std::to_string(format));
+  const std::string plan = GetParam();
+  SCOPED_TRACE("fault plan: " + plan);
 
   TempDir dir;
   harness::RunConfig config;
@@ -540,7 +533,6 @@ TEST_P(ChaosMatrix, TracerSurvivesAndAccountingReconciles) {
   config.params.threads = 4;
   config.params.size = 4000;        // enough accesses that flushes happen
   config.buffer_bytes = 16 * 1024;  // small buffers so the faults hit
-  config.trace_format = format;
   config.trace_dir = dir.path();
   config.fault_plan = plan;
   config.adaptive_degradation = true;
@@ -570,7 +562,7 @@ TEST_P(ChaosMatrix, TracerSurvivesAndAccountingReconciles) {
     uint64_t meta_record_drops = 0;
     uint64_t meta_degraded = 0;
     for (const auto& t : store.value().threads()) {
-      for (const auto& rec : t.meta.intervals) meta_events += rec.EventCount();
+      for (const auto& rec : t.meta.intervals) meta_events += rec.event_count;
       meta_record_drops += t.meta.events_dropped;
       meta_degraded += t.meta.degraded_dropped;
     }
@@ -593,12 +585,7 @@ TEST_P(ChaosMatrix, TracerSurvivesAndAccountingReconciles) {
                 (r.flusher.producer_blocks + r.flusher.watchdog_drops + 1));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PlansByFormat, ChaosMatrix,
-    ::testing::Combine(::testing::Values(trace::kTraceFormatV1,
-                                         trace::kTraceFormatV2,
-                                         trace::kTraceFormatV3),
-                       ::testing::ValuesIn(kChaosPlans)));
+INSTANTIATE_TEST_SUITE_P(Plans, ChaosMatrix, ::testing::ValuesIn(kChaosPlans));
 
 // --- governor end-to-end: ENOSPC storm + slow I/O steps down and back up --
 
@@ -719,11 +706,11 @@ TEST(FlusherRetry, GapFrameSyncRetriesAreCounted) {
   Bytes raw;
   for (int i = 0; i < 256; i++) raw.push_back(uint8_t(i & 0x3f));
   flusher.AppendFrame(dir.File("t.log"), std::move(raw), FindCompressor("raw"),
-                      trace::kTraceFormatV3, /*event_count=*/16);
+                      /*event_count=*/16);
   Bytes raw2;
   for (int i = 0; i < 256; i++) raw2.push_back(uint8_t(i & 0x3f));
   flusher.AppendFrame(dir.File("t.log"), std::move(raw2), FindCompressor("raw"),
-                      trace::kTraceFormatV3, /*event_count=*/16);
+                      /*event_count=*/16);
   flusher.Drain();
 
   const trace::FlusherStats stats = flusher.stats();

@@ -38,11 +38,14 @@ TEST_P(CodecTest, AllDistinct) {
 }
 
 TEST_P(CodecTest, RepetitiveTraceLikeData) {
-  // Trace buffers look like this: repeating 16-byte records with a striding
-  // address field; compressible codecs should shrink it substantially.
+  // Trace buffers look like this: a strided access stream, whose delta
+  // encoding repeats one short record; compressible codecs should shrink it
+  // substantially.
   ByteWriter w;
+  trace::EventCodecState state;
   for (uint64_t i = 0; i < 5000; i++) {
-    trace::EncodeEvent(trace::RawEvent::Access(0x7f0000000000ULL + i * 8, 8, 1, 77), w);
+    trace::EncodeEventV3(
+        trace::RawEvent::Access(0x7f0000000000ULL + i * 8, 8, 1, 77), state, w);
   }
   const Bytes& input = w.buffer();
   Bytes compressed;
@@ -53,7 +56,7 @@ TEST_P(CodecTest, RepetitiveTraceLikeData) {
           .ok());
   EXPECT_EQ(output, input);
   if (GetParam() == "lzs" || GetParam() == "lzf") {
-    // The LZ codecs must exploit the 16-byte record periodicity.
+    // The LZ codecs must exploit the record periodicity.
     EXPECT_LT(compressed.size(), input.size() / 2);
   } else if (GetParam() == "rle") {
     // Striding addresses leave few byte runs; RLE only has to stay near

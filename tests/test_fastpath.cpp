@@ -18,6 +18,7 @@
 #include "itree/interval_tree.h"
 #include "offline/analysis.h"
 #include "offline/tracestore.h"
+#include "race_oracle.h"
 #include "somp/instr.h"
 #include "somp/runtime.h"
 #include "trace/event.h"
@@ -60,31 +61,24 @@ TEST(CodecV3, MixedRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
-TEST(CodecV3, NonRunEventsEncodeExactlyAsV2) {
-  std::vector<trace::RawEvent> events;
-  for (const auto& e : MixedEvents()) {
-    if (e.kind != trace::EventKind::kAccessRun) events.push_back(e);
-  }
-  Bytes v2, v3;
-  ByteWriter w2(&v2), w3(&v3);
-  trace::EventCodecState s2, s3;
-  for (const auto& e : events) {
-    trace::EncodeEventV2(e, s2, w2);
-    trace::EncodeEventV3(e, s3, w3);
-  }
-  EXPECT_EQ(v2, v3) << "a v3 frame without runs must be a valid v2 payload";
-}
-
-TEST(CodecV3, V2DecoderRejectsRunEvents) {
+TEST(CodecV3, WireBytesPinned) {
+  // The on-disk encoding must not drift: these bytes are the v3 wire format
+  // (access kinds encode exactly as the retired v2 format did).
+  const std::vector<trace::RawEvent> events = {
+      trace::RawEvent::Access(0x1000, 8, 1, 7),
+      trace::RawEvent::MutexAcquire(3),
+      trace::RawEvent::Run(0x1010, 8, 4, 8, 0, 9),
+      trace::RawEvent::Access(0x1030, 4, 0, 1),
+  };
   Bytes buf;
   ByteWriter w(&buf);
   trace::EventCodecState enc;
-  trace::EncodeEventV3(trace::RawEvent::Run(0x1000, 8, 4, 8, 0, 1), enc, w);
-  ByteReader r(buf);
-  trace::EventCodecState dec;
-  trace::RawEvent out;
-  EXPECT_FALSE(trace::DecodeEventV2(r, dec, &out).ok())
-      << "kind 3 is reserved in v2 and must not decode";
+  for (const auto& e : events) trace::EncodeEventV3(e, enc, w);
+  const Bytes want = {0x44, 0x07, 0x80, 0x40,         // write, size 8, pc 7, +0x1000
+                      0x01, 0x03,                     // acquire lock 3
+                      0x43, 0x09, 0x20, 0x08, 0x04,   // run: pc 9, +16, stride 8, x4
+                      0x30, 0x01, 0x10};              // read, size 4, pc 1, +8
+  EXPECT_EQ(buf, want);
 }
 
 TEST(CodecV3, RejectsImplausibleRuns) {
@@ -147,13 +141,11 @@ struct WriterRig {
   TempDir dir{"fastpath"};
   std::unique_ptr<trace::ThreadTraceWriter> writer;
 
-  explicit WriterRig(bool filter = true, bool coalesce = true,
-                     uint8_t format = trace::kTraceFormatV3) {
+  explicit WriterRig(bool filter = true, bool coalesce = true) {
     trace::WriterConfig wc;
     wc.log_path = dir.File("t0.log");
     wc.meta_path = dir.File("t0.meta");
     wc.flusher = &flusher;
-    wc.format = format;
     wc.access_filter = filter;
     wc.coalesce = coalesce;
     wc.codec = FindCompressor("raw");
@@ -229,18 +221,6 @@ TEST(WriterFastPath, RangeAppendEmitsRunPlusTail) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0], trace::RawEvent::Run(0x4000, 128, 7, 128, 1, 3));
   EXPECT_EQ(events[1], trace::RawEvent::Access(0x4000 + 7 * 128, 104, 1, 3));
-
-  // The pre-v3 formats must see the historical chunk loop.
-  WriterRig legacy(true, true, trace::kTraceFormatV2);
-  legacy.writer->BeginSegment(SegMeta());
-  legacy.writer->AppendRange(0x4000, 1000, 1, 3);
-  legacy.writer->EndSegment();
-  const auto chunks = legacy.FinishAndRead();
-  ASSERT_EQ(chunks.size(), 8u);
-  for (int i = 0; i < 7; i++) {
-    EXPECT_EQ(chunks[i], trace::RawEvent::Access(0x4000 + i * 128, 128, 1, 3));
-  }
-  EXPECT_EQ(chunks[7], trace::RawEvent::Access(0x4000 + 7 * 128, 104, 1, 3));
 }
 
 TEST(WriterFastPath, OutOfSegmentAccessesCountedAndDropped) {
@@ -470,13 +450,13 @@ void RunSweepProgram(const SweepProgram& p, std::vector<uint64_t>& pool) {
 /// somp runs the report VECTOR order is not comparable; the race pc-pair SET
 /// is. (Byte-identical ordered reports are asserted by DeterministicAblation
 /// below, where the trace is replayed with a fixed lane -> tid mapping.)
+/// Every trace is also checked against the brute-force oracle.
 std::set<std::pair<uint32_t, uint32_t>> CollectRacePairs(
-    const SweepProgram& p, std::vector<uint64_t>& pool, uint8_t format,
-    bool filter, bool coalesce) {
+    const SweepProgram& p, std::vector<uint64_t>& pool, bool filter,
+    bool coalesce) {
   TempDir dir("sweep");
   core::SwordConfig sc;
   sc.out_dir = dir.path();
-  sc.trace_format = format;
   sc.access_filter = filter;
   sc.coalesce = coalesce;
   {
@@ -493,10 +473,8 @@ std::set<std::pair<uint32_t, uint32_t>> CollectRacePairs(
   EXPECT_TRUE(store.ok());
   const offline::AnalysisResult result = offline::Analyze(store.value());
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-  std::set<std::pair<uint32_t, uint32_t>> out;
-  for (const RaceReport& r : result.races.reports()) {
-    out.insert({std::min(r.pc1, r.pc2), std::max(r.pc1, r.pc2)});
-  }
+  const std::set<std::pair<uint32_t, uint32_t>> out = oracle::RacePairs(result.races);
+  EXPECT_EQ(out, oracle::RacePairs(store.value())) << "analyzer diverged from the oracle";
   return out;
 }
 
@@ -507,15 +485,13 @@ TEST_P(AblationProperty, RaceSetsIdenticalAcrossFastPathConfigs) {
   const SweepProgram p = GenerateSweepProgram(rng);
   std::vector<uint64_t> pool(16 + 40);  // sweeps stay in bounds
 
-  const auto def = CollectRacePairs(p, pool, trace::kTraceFormatV3, true, true);
-  EXPECT_EQ(def, CollectRacePairs(p, pool, trace::kTraceFormatV3, false, true))
+  const auto def = CollectRacePairs(p, pool, true, true);
+  EXPECT_EQ(def, CollectRacePairs(p, pool, false, true))
       << "seed " << GetParam() << ": filter ablation changed the race set";
-  EXPECT_EQ(def, CollectRacePairs(p, pool, trace::kTraceFormatV3, true, false))
+  EXPECT_EQ(def, CollectRacePairs(p, pool, true, false))
       << "seed " << GetParam() << ": coalescer ablation changed the race set";
-  EXPECT_EQ(def, CollectRacePairs(p, pool, trace::kTraceFormatV3, false, false))
+  EXPECT_EQ(def, CollectRacePairs(p, pool, false, false))
       << "seed " << GetParam();
-  EXPECT_EQ(def, CollectRacePairs(p, pool, trace::kTraceFormatV2, true, true))
-      << "seed " << GetParam() << ": v3 fast path diverged from plain v2";
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweeps, AblationProperty, testing::Range(0, 15));
@@ -526,11 +502,11 @@ INSTANTIATE_TEST_SUITE_P(RandomSweeps, AblationProperty, testing::Range(0, 15));
 /// ThreadTraceWriters (tid == lane), so every configuration produces its
 /// trace from EXACTLY the same writer-call sequence and the analysis input
 /// differs only by what the filter/coalescer did. Any report drift here is
-/// a soundness bug, so the comparison is full-field and order-sensitive.
+/// a soundness bug, so the comparison is full-field and order-sensitive, and
+/// every trace is also checked against the brute-force oracle.
 std::vector<std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t, bool,
                        bool, int>>
-AnalyzeScripted(const SweepProgram& p, uint8_t format, bool filter,
-                bool coalesce) {
+AnalyzeScripted(const SweepProgram& p, bool filter, bool coalesce) {
   TempDir dir("scripted");
   trace::Flusher flusher(/*async=*/false);
   for (uint32_t lane = 0; lane < p.lanes; lane++) {
@@ -538,7 +514,6 @@ AnalyzeScripted(const SweepProgram& p, uint8_t format, bool filter,
     wc.log_path = dir.path() + "/sword_t" + std::to_string(lane) + ".log";
     wc.meta_path = dir.path() + "/sword_t" + std::to_string(lane) + ".meta";
     wc.flusher = &flusher;
-    wc.format = format;
     wc.access_filter = filter;
     wc.coalesce = coalesce;
     trace::ThreadTraceWriter writer(lane, wc);
@@ -582,6 +557,8 @@ AnalyzeScripted(const SweepProgram& p, uint8_t format, bool filter,
   EXPECT_TRUE(store.ok());
   const offline::AnalysisResult result = offline::Analyze(store.value());
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(oracle::RacePairs(result.races), oracle::RacePairs(store.value()))
+      << "analyzer diverged from the oracle";
   std::vector<std::tuple<uint32_t, uint32_t, uint64_t, uint8_t, uint8_t, bool,
                          bool, int>>
       out;
@@ -598,17 +575,10 @@ TEST_P(DeterministicAblation, ReportsByteIdenticalAcrossConfigs) {
   Rng rng(47000 + static_cast<uint64_t>(GetParam()));
   const SweepProgram p = GenerateSweepProgram(rng);
 
-  const auto def = AnalyzeScripted(p, trace::kTraceFormatV3, true, true);
-  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV3, false, true))
-      << "seed " << GetParam();
-  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV3, true, false))
-      << "seed " << GetParam();
-  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV3, false, false))
-      << "seed " << GetParam();
-  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV2, true, true))
-      << "seed " << GetParam();
-  EXPECT_EQ(def, AnalyzeScripted(p, trace::kTraceFormatV1, true, true))
-      << "seed " << GetParam();
+  const auto def = AnalyzeScripted(p, true, true);
+  EXPECT_EQ(def, AnalyzeScripted(p, false, true)) << "seed " << GetParam();
+  EXPECT_EQ(def, AnalyzeScripted(p, true, false)) << "seed " << GetParam();
+  EXPECT_EQ(def, AnalyzeScripted(p, false, false)) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomScripts, DeterministicAblation,

@@ -27,11 +27,15 @@ RetryPolicy FastRetry(uint32_t max_attempts = 5) {
   return p;
 }
 
-Bytes EncodeV1Events(uint32_t base_pc, uint64_t count) {
+/// One frame's payload: `count` writes with pcs from `base_pc`, encoded
+/// from a fresh delta state as the writer encodes each frame.
+Bytes EncodeEvents(uint32_t base_pc, uint64_t count) {
   Bytes out;
   ByteWriter w(&out);
+  EventCodecState state;
   for (uint64_t i = 0; i < count; i++) {
-    EncodeEvent(RawEvent::Access(0x1000 + i * 16, 8, 1, base_pc + uint32_t(i)), w);
+    EncodeEventV3(RawEvent::Access(0x1000 + i * 16, 8, 1, base_pc + uint32_t(i)),
+                  state, w);
   }
   return out;
 }
@@ -147,15 +151,14 @@ TEST(FlusherFault, TransientAppendErrorsAreRetriedInvisibly) {
   testing::FaultFile ff;
   Flusher flusher(FaultyConfig(&ff));
   ff.TransientErrors(2);
-  flusher.AppendFrame(path, EncodeV1Events(100, 10), FindCompressor("raw"),
-                      kTraceFormatV1, 10);
+  flusher.AppendFrame(path, EncodeEvents(100, 10), FindCompressor("raw"), 10);
   ASSERT_TRUE(flusher.status().ok()) << flusher.status().ToString();
   EXPECT_GE(flusher.stats().io_retries, 2u);
   EXPECT_EQ(flusher.stats().frames_dropped, 0u);
   auto reader = LogReader::Open(path);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader.value().frame_count(), 1u);
-  EXPECT_EQ(reader.value().total_logical_bytes(), 160u);
+  EXPECT_EQ(reader.value().total_logical_bytes(), EncodeEvents(100, 10).size());
 }
 
 TEST(FlusherFault, EnospcDropsFrameWithExactAccountingAndGapMarker) {
@@ -164,13 +167,16 @@ TEST(FlusherFault, EnospcDropsFrameWithExactAccountingAndGapMarker) {
   testing::FaultFile ff;
   Flusher flusher(FaultyConfig(&ff));
   const Compressor* raw = FindCompressor("raw");
+  const uint64_t size1 = EncodeEvents(100, 10).size();
+  const uint64_t size2 = EncodeEvents(200, 10).size();
+  const uint64_t size3 = EncodeEvents(300, 10).size();
 
-  flusher.AppendFrame(path, EncodeV1Events(100, 10), raw, kTraceFormatV1, 10);
+  flusher.AppendFrame(path, EncodeEvents(100, 10), raw, 10);
   ASSERT_TRUE(flusher.status().ok());
   const uint64_t disk_after_frame1 = FileSize(path).value();
 
   ff.EnospcAfterBytes(ff.bytes_written());  // disk is now full
-  flusher.AppendFrame(path, EncodeV1Events(200, 10), raw, kTraceFormatV1, 10);
+  flusher.AppendFrame(path, EncodeEvents(200, 10), raw, 10);
 
   // Sticky error + exact drop accounting; the file was rolled back so no
   // torn bytes remain.
@@ -178,17 +184,17 @@ TEST(FlusherFault, EnospcDropsFrameWithExactAccountingAndGapMarker) {
   FlusherStats stats = flusher.stats();
   EXPECT_EQ(stats.frames_dropped, 1u);
   EXPECT_EQ(stats.events_dropped, 10u);
-  EXPECT_EQ(stats.bytes_dropped, 160u);
+  EXPECT_EQ(stats.bytes_dropped, size2);
   EXPECT_EQ(FileSize(path).value(), disk_after_frame1);
   const DropRecord drops = flusher.DroppedFor(path);
   EXPECT_EQ(drops.frames, 1u);
   EXPECT_EQ(drops.events, 10u);
-  EXPECT_EQ(drops.raw_bytes, 160u);
+  EXPECT_EQ(drops.raw_bytes, size2);
 
   // Space comes back; the next frame is preceded by a gap marker so its
   // logical offset stays trustworthy.
   ff.Reset();
-  flusher.AppendFrame(path, EncodeV1Events(300, 10), raw, kTraceFormatV1, 10);
+  flusher.AppendFrame(path, EncodeEvents(300, 10), raw, 10);
   EXPECT_EQ(flusher.stats().gap_frames, 1u);
   EXPECT_EQ(flusher.stats().frames_dropped, 1u);  // unchanged
 
@@ -197,12 +203,13 @@ TEST(FlusherFault, EnospcDropsFrameWithExactAccountingAndGapMarker) {
   auto strict = LogReader::Open(path);
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   EXPECT_EQ(strict.value().frame_count(), 3u);  // frame, gap, frame
-  EXPECT_EQ(strict.value().total_logical_bytes(), 480u);
+  const uint64_t total = size1 + size2 + size3;
+  EXPECT_EQ(strict.value().total_logical_bytes(), total);
   std::vector<RawEvent> events;
-  EXPECT_FALSE(strict.value().ReadRange(0, 480, &events).ok());
+  EXPECT_FALSE(strict.value().ReadRange(0, total, &events).ok());
   // The surviving frames stream fine at their original logical offsets.
   events.clear();
-  ASSERT_TRUE(strict.value().ReadRange(320, 160, &events).ok());
+  ASSERT_TRUE(strict.value().ReadRange(size1 + size2, size3, &events).ok());
   ASSERT_EQ(events.size(), 10u);
   EXPECT_EQ(events[0].pc, 300u);
 
@@ -214,15 +221,15 @@ TEST(FlusherFault, EnospcDropsFrameWithExactAccountingAndGapMarker) {
   const SalvageStats& ss = salvaged.value().salvage_stats();
   EXPECT_EQ(ss.gap_frames, 1u);
   EXPECT_EQ(ss.events_dropped_at_record, 10u);
-  EXPECT_EQ(ss.bytes_dropped_at_record, 160u);
+  EXPECT_EQ(ss.bytes_dropped_at_record, size2);
   EXPECT_EQ(ss.frames_ok, 2u);
   uint64_t skipped = 0;
   events.clear();
   ASSERT_TRUE(salvaged.value()
-                  .StreamRange(0, 480, [&](const RawEvent& e) { events.push_back(e); },
+                  .StreamRange(0, total, [&](const RawEvent& e) { events.push_back(e); },
                                nullptr, &skipped)
                   .ok());
-  EXPECT_EQ(skipped, 160u);
+  EXPECT_EQ(skipped, size2);
   ASSERT_EQ(events.size(), 20u);
   EXPECT_EQ(events[0].pc, 100u);
   EXPECT_EQ(events[10].pc, 300u);
@@ -235,13 +242,13 @@ TEST(FlusherFault, FailedPartialAppendRollsBackTornFrame) {
   Flusher flusher(FaultyConfig(&ff));
   const Compressor* raw = FindCompressor("raw");
 
-  flusher.AppendFrame(path, EncodeV1Events(100, 10), raw, kTraceFormatV1, 10);
+  flusher.AppendFrame(path, EncodeEvents(100, 10), raw, 10);
   ASSERT_TRUE(flusher.status().ok());
   const uint64_t clean_size = FileSize(path).value();
 
   // The next frame dies 10 bytes in: a hard error after a partial write.
   ff.FailAfterBytes(ff.bytes_written() + 10, ErrorCode::kIoError);
-  flusher.AppendFrame(path, EncodeV1Events(200, 10), raw, kTraceFormatV1, 10);
+  flusher.AppendFrame(path, EncodeEvents(200, 10), raw, 10);
   EXPECT_EQ(flusher.status().code(), ErrorCode::kIoError);
   // Rollback: the torn 10-byte prefix was truncated away, so the log still
   // ends on a frame boundary and strict readers stay happy.
@@ -251,7 +258,7 @@ TEST(FlusherFault, FailedPartialAppendRollsBackTornFrame) {
   EXPECT_EQ(strict.value().frame_count(), 1u);
 
   ff.Reset();
-  flusher.AppendFrame(path, EncodeV1Events(300, 10), raw, kTraceFormatV1, 10);
+  flusher.AppendFrame(path, EncodeEvents(300, 10), raw, 10);
   auto after = LogReader::Open(path);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().frame_count(), 3u);  // frame, gap, frame
@@ -268,7 +275,6 @@ TEST(WriterFault, MetaIsCheckpointedAtEveryBarrierInterval) {
   wc.meta_path = dir.File("t0.meta");
   wc.buffer_bytes = 4096;
   wc.flusher = &flusher;
-  wc.format = kTraceFormatV1;
   wc.meta_checkpoint_interval = 1;
   ThreadTraceWriter writer(0, wc);
 
@@ -307,7 +313,6 @@ TEST(WriterFault, CheckpointIntervalZeroWritesMetaOnlyAtFinish) {
   wc.meta_path = dir.File("t0.meta");
   wc.buffer_bytes = 4096;
   wc.flusher = &flusher;
-  wc.format = kTraceFormatV1;
   wc.meta_checkpoint_interval = 0;  // the pre-crash-tolerance behavior
   ThreadTraceWriter writer(0, wc);
   EXPECT_FALSE(FileExists(wc.meta_path));
@@ -328,9 +333,8 @@ TEST(WriterFault, DropTotalsLandInMetaV3Header) {
   WriterConfig wc;
   wc.log_path = dir.File("t0.log");
   wc.meta_path = dir.File("t0.meta");
-  wc.buffer_bytes = 160;  // 10 v1 events per frame
+  wc.buffer_bytes = 160;  // 10 events per frame
   wc.flusher = &flusher;
-  wc.format = kTraceFormatV1;
   ThreadTraceWriter writer(0, wc);
 
   auto segment = [&](uint32_t base_pc, uint64_t lane_phase) {
@@ -364,14 +368,17 @@ TEST(WriterFault, DropTotalsLandInMetaV3Header) {
   auto bytes = ReadFileBytes(wc.meta_path);
   ASSERT_TRUE(bytes.ok());
   ASSERT_TRUE(MetaFile::Decode(bytes.value(), &m).ok());
+  // Each segment is exactly one frame, encoded from a fresh delta state.
+  const uint64_t size1 = EncodeEvents(100, 10).size();
+  const uint64_t size2 = EncodeEvents(200, 10).size();
   EXPECT_EQ(m.events_dropped, 10u);
-  EXPECT_EQ(m.bytes_dropped, 160u);
+  EXPECT_EQ(m.bytes_dropped, size2);
   ASSERT_EQ(m.intervals.size(), 3u);
   // All three records keep their original logical coordinates; the dropped
   // one addresses the gap.
   EXPECT_EQ(m.intervals[0].data_begin, 0u);
-  EXPECT_EQ(m.intervals[1].data_begin, 160u);
-  EXPECT_EQ(m.intervals[2].data_begin, 320u);
+  EXPECT_EQ(m.intervals[1].data_begin, size1);
+  EXPECT_EQ(m.intervals[2].data_begin, size1 + size2);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // While the traced application runs, its trace directory is perpetually
 // mid-write: the log tail may end inside a frame, the meta checkpoint may
 // be behind the log (events flushed, checkpoint pending) or ahead of it
-// (checkpoint written, log buffer not yet flushed). This suite pins down,
-// for every trace format (v1/v2/v3), the contract the service relies on:
+// (checkpoint written, log buffer not yet flushed). This suite pins down
+// the contract the service relies on:
 //
 //   - strict open REFUSES every live shape (that is what strict is for);
 //   - salvage open recovers the clean prefix and analyzes it;
@@ -27,15 +27,14 @@
 namespace sword {
 namespace {
 
-/// Produces a real multi-thread trace of `format` in `dir`.
-void GenerateTrace(const std::string& dir, uint8_t format,
+/// Produces a real multi-thread trace in `dir`.
+void GenerateTrace(const std::string& dir,
                    const char* workload = "truedep1-orig-yes") {
   harness::RunConfig config;
   config.tool = harness::ToolKind::kSword;
   config.params.threads = 2;
   config.params.size = 512;
   config.trace_dir = dir;
-  config.trace_format = format;
   config.run_offline = false;
   auto result = harness::RunByName("drb", workload, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -71,7 +70,7 @@ uint64_t MetaClaimedEvents(const std::string& dir) {
   uint64_t claimed = 0;
   if (store.ok()) {
     for (const auto& t : store.value().threads()) {
-      for (const auto& rec : t.meta.intervals) claimed += rec.EventCount();
+      for (const auto& rec : t.meta.intervals) claimed += rec.event_count;
     }
   }
   return claimed;
@@ -102,11 +101,9 @@ bool StrictRejects(const std::string& dir) {
   return !offline::Analyze(store.value()).status.ok();
 }
 
-class LiveTail : public ::testing::TestWithParam<uint8_t> {};
-
-TEST_P(LiveTail, CleanTraceIsCleanEitherWay) {
+TEST(LiveTail, CleanTraceIsCleanEitherWay) {
   TempDir dir;
-  GenerateTrace(dir.path(), GetParam());
+  GenerateTrace(dir.path());
   // Strict accepts a finished trace...
   auto store = offline::TraceStore::OpenDir(dir.path(), {});
   ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -121,9 +118,9 @@ TEST_P(LiveTail, CleanTraceIsCleanEitherWay) {
   EXPECT_EQ(salvage.stats.events_missing, 0u);
 }
 
-TEST_P(LiveTail, MidAppendLogTailStrictRejectsSalvageRecovers) {
+TEST(LiveTail, MidAppendLogTailStrictRejectsSalvageRecovers) {
   TempDir dir;
-  GenerateTrace(dir.path(), GetParam());
+  GenerateTrace(dir.path());
   const auto baseline = RaceKeys(SalvageAnalyze(dir.path()));
 
   // The writer dies (or is snapshotted) mid-frame: junk bytes on the log
@@ -144,9 +141,9 @@ TEST_P(LiveTail, MidAppendLogTailStrictRejectsSalvageRecovers) {
   }
 }
 
-TEST_P(LiveTail, MetaCheckpointBehindLogDropsOnlyTailRecords) {
+TEST(LiveTail, MetaCheckpointBehindLogDropsOnlyTailRecords) {
   TempDir dir;
-  GenerateTrace(dir.path(), GetParam());
+  GenerateTrace(dir.path());
   const auto baseline = RaceKeys(SalvageAnalyze(dir.path()));
 
   // The live shape where the checkpointer lags: the meta's own tail is
@@ -172,11 +169,11 @@ TEST_P(LiveTail, MetaCheckpointBehindLogDropsOnlyTailRecords) {
   }
 }
 
-TEST_P(LiveTail, MetaAheadOfLogClampsAndCountsMissing) {
+TEST(LiveTail, MetaAheadOfLogClampsAndCountsMissing) {
   TempDir dir;
   // Indirect accesses defeat the v2/v3 strided-run coalescing, so the log
   // stays big enough that a partial flush actually loses events.
-  GenerateTrace(dir.path(), GetParam(), "indirectaccess1-orig-yes");
+  GenerateTrace(dir.path(), "indirectaccess1-orig-yes");
   const auto baseline = RaceKeys(SalvageAnalyze(dir.path()));
   const uint64_t claimed_full = MetaClaimedEvents(dir.path());
 
@@ -206,9 +203,9 @@ TEST_P(LiveTail, MetaAheadOfLogClampsAndCountsMissing) {
   }
 }
 
-TEST_P(LiveTail, NoFalseRacesAtAnyCutDepth) {
+TEST(LiveTail, NoFalseRacesAtAnyCutDepth) {
   TempDir dir;
-  GenerateTrace(dir.path(), GetParam());
+  GenerateTrace(dir.path());
   const auto baseline = RaceKeys(SalvageAnalyze(dir.path()));
   const std::string log = dir.path() + "/sword_t1.log";
   const auto pristine = ReadFileBytes(log);
@@ -226,11 +223,6 @@ TEST_P(LiveTail, NoFalseRacesAtAnyCutDepth) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, LiveTail,
-                         ::testing::Values(trace::kTraceFormatV1,
-                                           trace::kTraceFormatV2,
-                                           trace::kTraceFormatV3));
 
 }  // namespace
 }  // namespace sword

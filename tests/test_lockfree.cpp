@@ -1,8 +1,8 @@
 // Lock-free trace-plane structures (common/lockfree.h) and their
 // integration: MPMC ring lanes, the lock-free buffer pool, QSBR sink
 // retirement, and the end-to-end properties the plane must keep - race
-// reports equal to the brute-force oracle (race_oracle.h) on every trace
-// format, and trace files byte-identical to the synchronous flusher's.
+// reports equal to the brute-force oracle (race_oracle.h), and trace files
+// byte-identical to the synchronous flusher's.
 // Designed to run under TSan: every cross-thread interaction in the
 // structures is atomics-only, so any TSan report here is a real bug.
 #include <gtest/gtest.h>
@@ -497,16 +497,16 @@ TEST(FlusherPlane, DropAccountingAndGapFramesUnderEnospc) {
 
   // First frame lands; the disk then "fills" for exactly one frame; the
   // recovery frame must be preceded by a gap marker.
-  flusher.AppendFrame(path, Bytes(256, 0x01), nullptr, 1, /*event_count=*/16);
+  flusher.AppendFrame(path, Bytes(256, 0x01), nullptr, /*event_count=*/16);
   flusher.Drain();
   ASSERT_TRUE(flusher.status().ok());
   const uint64_t on_disk = ff.bytes_written();
   ff.FailAfterBytes(on_disk, ErrorCode::kNoSpace);
-  flusher.AppendFrame(path, Bytes(256, 0x02), nullptr, 1, /*event_count=*/16);
+  flusher.AppendFrame(path, Bytes(256, 0x02), nullptr, /*event_count=*/16);
   flusher.Drain();
   EXPECT_FALSE(flusher.status().ok()) << "sticky status must record the loss";
   ff.Reset();
-  flusher.AppendFrame(path, Bytes(256, 0x03), nullptr, 1, /*event_count=*/16);
+  flusher.AppendFrame(path, Bytes(256, 0x03), nullptr, /*event_count=*/16);
   flusher.Drain();
 
   const trace::FlusherStats stats = flusher.stats();
@@ -675,15 +675,14 @@ void RunSweepOp(std::vector<uint64_t>& pool, const SweepOp& op) {
   }
 }
 
-/// Runs the program under SWORD with the given trace format, leaving its
-/// trace in `dir`. Lane -> tid scheduling order varies across runs, so only
-/// the race pc-pair SET is comparable; byte identity is asserted by
-/// ScriptedPlaneIdentity below with fixed lane ids.
+/// Runs the program under SWORD, leaving its trace in `dir`. Lane -> tid
+/// scheduling order varies across runs, so only the race pc-pair SET is
+/// comparable; byte identity is asserted by ScriptedPlaneIdentity below
+/// with fixed lane ids.
 void TraceSweepProgram(const SweepProgram& p, std::vector<uint64_t>& pool,
-                       uint8_t format, const std::string& dir) {
+                       const std::string& dir) {
   core::SwordConfig sc;
   sc.out_dir = dir;
-  sc.trace_format = format;
   core::SwordTool tool(sc);
   somp::RuntimeConfig rc;
   rc.tool = &tool;
@@ -708,22 +707,19 @@ void TraceSweepProgram(const SweepProgram& p, std::vector<uint64_t>& pool,
 
 class PlaneOracle : public ::testing::TestWithParam<int> {};
 
-TEST_P(PlaneOracle, AnalyzerMatchesOracleOnEveryFormat) {
+TEST_P(PlaneOracle, AnalyzerMatchesOracle) {
   Rng rng(62000 + static_cast<uint64_t>(GetParam()));
   const SweepProgram p = GenerateSweepProgram(rng);
   std::vector<uint64_t> pool(16 + 40);
-  for (uint8_t format = trace::kTraceFormatV1; format <= trace::kTraceFormatV3;
-       format++) {
-    TempDir dir("plane-sweep");
-    TraceSweepProgram(p, pool, format, dir.path());
-    auto store = offline::TraceStore::OpenDir(dir.path());
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    const offline::AnalysisResult result = offline::Analyze(store.value());
-    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    EXPECT_EQ(oracle::RacePairs(result.races), oracle::RacePairs(store.value()))
-        << "seed " << GetParam() << " format " << int{format}
-        << ": the analyzer's race set differs from the oracle's";
-  }
+  TempDir dir("plane-sweep");
+  TraceSweepProgram(p, pool, dir.path());
+  auto store = offline::TraceStore::OpenDir(dir.path());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const offline::AnalysisResult result = offline::Analyze(store.value());
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(oracle::RacePairs(result.races), oracle::RacePairs(store.value()))
+      << "seed " << GetParam()
+      << ": the analyzer's race set differs from the oracle's";
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweeps, PlaneOracle, ::testing::Range(0, 6));

@@ -15,6 +15,7 @@
 #include "offline/racecheck.h"
 #include "offline/tracestore.h"
 #include "journal_v4.h"
+#include "race_oracle.h"
 #include "trace/writer.h"
 
 namespace sword::offline {
@@ -106,7 +107,6 @@ TEST(CheckTreePair, InterleavedStridesNeedExactCheck) {
 struct SyntheticTrace {
   TempDir dir;
   trace::Flusher flusher{/*async=*/false};
-  uint8_t format = trace::kTraceFormatV2;  // event encoding for written logs
 
   /// Writes one thread's trace: a list of (meta, events) segments.
   void WriteThread(uint32_t tid,
@@ -116,7 +116,6 @@ struct SyntheticTrace {
     wc.log_path = dir.path() + "/sword_t" + std::to_string(tid) + ".log";
     wc.meta_path = dir.path() + "/sword_t" + std::to_string(tid) + ".meta";
     wc.flusher = &flusher;
-    wc.format = format;
     trace::ThreadTraceWriter writer(tid, wc);
     for (const auto& [meta, events] : segs) {
       writer.BeginSegment(meta);
@@ -329,44 +328,32 @@ TEST(Analysis, ShardUnionEqualsFullAnalysis) {
   EXPECT_EQ(merged.size(), everything.races.size());
 }
 
-TEST(Analysis, IdenticalRaceSetsOnV1AndV2Traces) {
-  // Cross-format acceptance: the same execution traced in event format v1
-  // and v2 must analyze to identical race sets.
-  auto write_all = [](SyntheticTrace& t) {
-    std::vector<trace::RawEvent> e0, e1;
-    for (uint64_t i = 0; i < 40; i++) {
-      e0.push_back(trace::RawEvent::Access(0x1000 + i * 16, 8, 1, 11));
-      e1.push_back(trace::RawEvent::Access(0x1008 + i * 16, 8, 1, 22));
-    }
-    e1.push_back(trace::RawEvent::Access(0x1000, 4, 0, 33));   // races with 11
-    e0.push_back(trace::RawEvent::MutexAcquire(5));
-    e0.push_back(trace::RawEvent::Access(0x9000, 8, 1, 44));   // lock-protected
-    e0.push_back(trace::RawEvent::MutexRelease(5));
-    e1.push_back(trace::RawEvent::MutexAcquire(5));
-    e1.push_back(trace::RawEvent::Access(0x9000, 8, 1, 55));
-    e1.push_back(trace::RawEvent::MutexRelease(5));
-    t.WriteThread(0, {{Meta(0, 2), e0}});
-    t.WriteThread(1, {{Meta(1, 2), e1}});
-  };
-
-  SyntheticTrace v1;
-  v1.format = trace::kTraceFormatV1;
-  write_all(v1);
-  SyntheticTrace v2;
-  v2.format = trace::kTraceFormatV2;
-  write_all(v2);
-
-  const AnalysisResult r1 = v1.Analyze();
-  const AnalysisResult r2 = v2.Analyze();
-  ASSERT_TRUE(r1.status.ok()) << r1.status.ToString();
-  ASSERT_TRUE(r2.status.ok()) << r2.status.ToString();
-  ASSERT_EQ(r1.races.size(), r2.races.size());
-  EXPECT_EQ(r1.races.size(), 1u);
-  for (const RaceReport& r : r1.races.reports()) {
-    EXPECT_TRUE(r2.races.Contains(r.pc1, r.pc2))
-        << "race " << r.pc1 << "/" << r.pc2 << " missing from v2 analysis";
+TEST(Analysis, RaceSetMatchesOracle) {
+  // The analyzer's race set over a mixed trace (strided writes, a plain
+  // read, a lock-protected pair) equals the brute-force oracle's.
+  SyntheticTrace t;
+  std::vector<trace::RawEvent> e0, e1;
+  for (uint64_t i = 0; i < 40; i++) {
+    e0.push_back(trace::RawEvent::Access(0x1000 + i * 16, 8, 1, 11));
+    e1.push_back(trace::RawEvent::Access(0x1008 + i * 16, 8, 1, 22));
   }
-  EXPECT_EQ(r1.stats.raw_events, r2.stats.raw_events);
+  e1.push_back(trace::RawEvent::Access(0x1000, 4, 0, 33));   // races with 11
+  e0.push_back(trace::RawEvent::MutexAcquire(5));
+  e0.push_back(trace::RawEvent::Access(0x9000, 8, 1, 44));   // lock-protected
+  e0.push_back(trace::RawEvent::MutexRelease(5));
+  e1.push_back(trace::RawEvent::MutexAcquire(5));
+  e1.push_back(trace::RawEvent::Access(0x9000, 8, 1, 55));
+  e1.push_back(trace::RawEvent::MutexRelease(5));
+  t.WriteThread(0, {{Meta(0, 2), e0}});
+  t.WriteThread(1, {{Meta(1, 2), e1}});
+
+  auto store = TraceStore::OpenDir(t.dir.path());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const AnalysisResult r = offline::Analyze(store.value());
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.races.size(), 1u);
+  EXPECT_TRUE(r.races.Contains(11, 33));
+  EXPECT_EQ(oracle::RacePairs(r.races), oracle::RacePairs(store.value()));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@
 // negatives), the receipt/elision accounting through meta v6 and the trace
 // store, and the two invariants everything rests on:
 //   - race sets are EXACTLY equal with the pre-filter on or off, across
-//     trace formats and thread counts (missed-not-false, enforced
-//     structurally by footprint receipts);
+//     thread counts (missed-not-false, enforced structurally by footprint
+//     receipts);
 //   - no DataRaceBench ground-truth race disappears under elision.
 #include <gtest/gtest.h>
 
@@ -50,12 +50,11 @@ struct KernelOutcome {
 /// then opens + analyzes the trace. Race pairs come back as an unordered
 /// pc-pair set (lane threads register writer ids in scheduling order, so
 /// ordered reports are not comparable across separate somp runs).
-KernelOutcome RunKernel(uint32_t threads, bool prefilter, uint8_t format,
+KernelOutcome RunKernel(uint32_t threads, bool prefilter,
                         const std::function<void(Ctx&)>& body) {
   TempDir dir("pf-test");
   core::SwordConfig sc;
   sc.out_dir = dir.path();
-  sc.trace_format = format;
   sc.prefilter = prefilter;
   KernelOutcome out;
   {
@@ -127,7 +126,7 @@ std::function<void(Ctx&)> SharedCounterKernel(std::vector<uint64_t>& a) {
 
 TEST(Prefilter, StableStencilProvenAndElided) {
   std::vector<uint64_t> a(kN), b(kN);
-  const auto on = RunKernel(4, true, trace::kTraceFormatV3, StableKernel(a, b));
+  const auto on = RunKernel(4, true, StableKernel(a, b));
 
   ASSERT_EQ(on.sites.size(), 1u);
   EXPECT_EQ(on.sites[0].verdict, prefilter::SiteVerdict::kProvenSafe);
@@ -148,7 +147,7 @@ TEST(Prefilter, StableStencilProvenAndElided) {
   EXPECT_TRUE(on.races.empty());
 
   const auto off =
-      RunKernel(4, false, trace::kTraceFormatV3, StableKernel(a, b));
+      RunKernel(4, false, StableKernel(a, b));
   EXPECT_EQ(off.elided, 0u);
   EXPECT_FALSE(off.state_file);
   EXPECT_EQ(on.races, off.races);
@@ -157,7 +156,7 @@ TEST(Prefilter, StableStencilProvenAndElided) {
 TEST(Prefilter, OverlappingLanesNeverArm) {
   std::vector<uint64_t> a(kN);
   const auto on =
-      RunKernel(4, true, trace::kTraceFormatV3, NeighbourRaceKernel(a));
+      RunKernel(4, true, NeighbourRaceKernel(a));
 
   ASSERT_EQ(on.sites.size(), 1u);
   EXPECT_EQ(on.sites[0].verdict, prefilter::SiteVerdict::kUnprovenOverlap);
@@ -166,7 +165,7 @@ TEST(Prefilter, OverlappingLanesNeverArm) {
   EXPECT_FALSE(on.races.empty()) << "the boundary race must be reported";
 
   const auto off =
-      RunKernel(4, false, trace::kTraceFormatV3, NeighbourRaceKernel(a));
+      RunKernel(4, false, NeighbourRaceKernel(a));
   EXPECT_EQ(on.races, off.races);
 }
 
@@ -186,7 +185,7 @@ TEST(Prefilter, BaseSwapInvalidatesThenDisarms) {
       });
     }
   };
-  const auto on = RunKernel(4, true, trace::kTraceFormatV3, body);
+  const auto on = RunKernel(4, true, body);
 
   ASSERT_EQ(on.sites.size(), 1u);
   EXPECT_EQ(on.sites[0].verdict, prefilter::SiteVerdict::kDisarmed);
@@ -196,7 +195,7 @@ TEST(Prefilter, BaseSwapInvalidatesThenDisarms) {
   EXPECT_TRUE(on.integrity_clean);
   EXPECT_TRUE(on.races.empty());
 
-  const auto off = RunKernel(4, false, trace::kTraceFormatV3, body);
+  const auto off = RunKernel(4, false, body);
   EXPECT_EQ(on.races, off.races);
 }
 
@@ -213,7 +212,7 @@ TEST(Prefilter, SyncInsideBodySuppressesArming) {
       });
     }
   };
-  const auto on = RunKernel(4, true, trace::kTraceFormatV3, body);
+  const auto on = RunKernel(4, true, body);
 
   ASSERT_EQ(on.sites.size(), 1u);
   EXPECT_EQ(on.sites[0].verdict, prefilter::SiteVerdict::kHasSync);
@@ -221,12 +220,11 @@ TEST(Prefilter, SyncInsideBodySuppressesArming) {
   EXPECT_EQ(on.elided, 0u);
   EXPECT_TRUE(on.races.empty()) << "critical-protected counter is race-free";
 
-  const auto off = RunKernel(4, false, trace::kTraceFormatV3, body);
+  const auto off = RunKernel(4, false, body);
   EXPECT_EQ(on.races, off.races);
 }
 
-TEST(Prefilter, GatedOffByConfigAndOnOldFormats) {
-  std::vector<uint64_t> a(kN), b(kN);
+TEST(Prefilter, GatedOffByConfig) {
   TempDir dir("pf-gate");
   core::SwordConfig sc;
   sc.out_dir = dir.path();
@@ -236,19 +234,17 @@ TEST(Prefilter, GatedOffByConfigAndOnOldFormats) {
     EXPECT_EQ(tool.prefilter(), nullptr);
   }
   sc.prefilter = true;
-  sc.trace_format = trace::kTraceFormatV2;  // receipts need v3 run events
   {
     core::SwordTool tool(sc);
-    EXPECT_EQ(tool.prefilter(), nullptr)
-        << "pre-filter must be silently inert below format v3";
+    EXPECT_NE(tool.prefilter(), nullptr);
   }
 }
 
 // The exact-equality property grid the design is judged by: pre-filter
-// on/off x {v1, v2, v3} x thread counts, three kernel shapes (provably
-// disjoint, boundary-racing, fully-overlapping scalar). The race pc-pair
-// set must be EXACTLY equal in every cell.
-TEST(PrefilterProperty, RaceSetsEqualAcrossFormatsAndThreads) {
+// on/off x thread counts, three kernel shapes (provably disjoint,
+// boundary-racing, fully-overlapping scalar). The race pc-pair set must be
+// EXACTLY equal in every cell.
+TEST(PrefilterProperty, RaceSetsEqualAcrossThreads) {
   std::vector<uint64_t> a(kN), b(kN), c(kN), d(kN);
   const std::vector<std::pair<const char*, std::function<void(Ctx&)>>>
       kernels = {
@@ -256,19 +252,13 @@ TEST(PrefilterProperty, RaceSetsEqualAcrossFormatsAndThreads) {
           {"neighbour-race", NeighbourRaceKernel(c)},
           {"shared-counter", SharedCounterKernel(d)},
       };
-  const uint8_t formats[] = {trace::kTraceFormatV1, trace::kTraceFormatV2,
-                             trace::kTraceFormatV3};
   for (const auto& [name, kernel] : kernels) {
-    for (const uint8_t format : formats) {
-      for (const uint32_t threads : {2u, 4u}) {
-        const auto off = RunKernel(threads, false, format, kernel);
-        const auto on = RunKernel(threads, true, format, kernel);
-        EXPECT_EQ(on.races, off.races)
-            << name << " v" << int(format) << " x" << threads
-            << ": pre-filter changed the race set";
-        EXPECT_EQ(on.elided_lost, 0u)
-            << name << " v" << int(format) << " x" << threads;
-      }
+    for (const uint32_t threads : {2u, 4u}) {
+      const auto off = RunKernel(threads, false, kernel);
+      const auto on = RunKernel(threads, true, kernel);
+      EXPECT_EQ(on.races, off.races)
+          << name << " x" << threads << ": pre-filter changed the race set";
+      EXPECT_EQ(on.elided_lost, 0u) << name << " x" << threads;
     }
   }
 }

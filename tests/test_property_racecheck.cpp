@@ -11,8 +11,8 @@
 //      unproven) by the legacy path, and nothing is invented or dropped.
 //   3. The full analyzer reports exactly the pc pairs of the brute-force
 //      reference oracle (tests/race_oracle.h), renders byte-identically at
-//      1 and 3 checker threads, over randomized multi-threaded traces in
-//      every wire format - and never more than the oracle on salvage-cut
+//      1 and 3 checker threads, over randomized multi-threaded traces - and
+//      never more than the oracle on salvage-cut
 //      traces. Two deterministic traces pin the run-tail and lock-release
 //      shapes the random ones rarely decide at pc-pair granularity.
 #include <gtest/gtest.h>
@@ -277,8 +277,8 @@ INSTANTIATE_TEST_SUITE_P(RandomTraces, AnalyzeAblationProperty,
 // ---------------------------------------------------------------------------
 // The analyzer's streaming pipeline - decoder-to-frozen build, symbolic
 // strided runs, repeated-subtrace memoization - against the brute-force
-// oracle, across trace formats v1/v2/v3 and across salvage-cut traces whose
-// tails died mid-segment.
+// oracle, over intact traces and salvage-cut traces whose tails died
+// mid-segment.
 
 /// One thread's scripted event stream. Scripts are generated once and
 /// sometimes REPLAYED verbatim on another thread, so dedup's
@@ -323,10 +323,9 @@ EventScript RandomScript(Rng& rng) {
   return script;
 }
 
-/// Writes `scripts[tid][phase]` as thread tid's barrier interval `phase` in
-/// wire format `format`, one log/meta pair per thread, the way the online
-/// tool logs them.
-void WriteScripts(const std::string& dir, uint8_t format,
+/// Writes `scripts[tid][phase]` as thread tid's barrier interval `phase`,
+/// one log/meta pair per thread, the way the online tool logs them.
+void WriteScripts(const std::string& dir,
                   const std::vector<std::vector<EventScript>>& scripts) {
   trace::Flusher flusher{/*async=*/false};
   const uint32_t threads = static_cast<uint32_t>(scripts.size());
@@ -335,12 +334,11 @@ void WriteScripts(const std::string& dir, uint8_t format,
     wc.log_path = dir + "/sword_t" + std::to_string(tid) + ".log";
     wc.meta_path = dir + "/sword_t" + std::to_string(tid) + ".meta";
     wc.flusher = &flusher;
-    wc.format = format;
     trace::ThreadTraceWriter writer(tid, wc);
     for (uint32_t phase = 0; phase < scripts[tid].size(); phase++) {
       writer.BeginSegment(PropMeta(tid, threads, phase));
       for (const trace::RawEvent& e : scripts[tid][phase]) {
-        // Accesses take the instrumented path, so v3 traces carry what the
+        // Accesses take the instrumented path, so traces carry what the
         // duplicate filter and the run coalescer make of them (kAccessRun);
         // plain Append would log every access verbatim.
         if (e.kind == trace::EventKind::kAccess) {
@@ -361,10 +359,6 @@ TEST_P(StreamingPipelineProperty, MatchesOracleAtEveryThreadCount) {
   const int seed = GetParam();
   Rng rng(99000 + static_cast<uint64_t>(seed));
   TempDir dir("prop-stream");
-  // Rotate the wire format so every decoder front end feeds the streaming
-  // build; only v3 carries kAccessRun, the symbolic layer's event.
-  const uint8_t format = static_cast<uint8_t>(
-      trace::kTraceFormatV1 + (static_cast<uint32_t>(seed) % 3));
   const uint32_t threads = 2 + static_cast<uint32_t>(rng.Below(2));
   const uint32_t phases = 1 + static_cast<uint32_t>(rng.Below(2));
 
@@ -381,7 +375,7 @@ TEST_P(StreamingPipelineProperty, MatchesOracleAtEveryThreadCount) {
     }
   }
 
-  ASSERT_NO_FATAL_FAILURE(WriteScripts(dir.path(), format, scripts));
+  ASSERT_NO_FATAL_FAILURE(WriteScripts(dir.path(), scripts));
 
   // Every third seed analyzes a salvage-cut trace: the last thread's log
   // loses its tail (as a SIGKILL mid-flush would leave it), so damaged
@@ -413,17 +407,16 @@ TEST_P(StreamingPipelineProperty, MatchesOracleAtEveryThreadCount) {
     // damage; the analyzer may then miss races, but never invents one.
     EXPECT_TRUE(std::includes(expected.begin(), expected.end(), found.begin(),
                               found.end()))
-        << "format=v" << int(format);
+        << "seed " << seed;
   } else {
-    EXPECT_EQ(found, expected) << "format=v" << int(format);
+    EXPECT_EQ(found, expected) << "seed " << seed;
   }
 
   AnalysisConfig parallel;
   parallel.threads = 3;
   const AnalysisResult alt = Analyze(store.value(), parallel);
   ASSERT_TRUE(alt.status.ok()) << alt.status.ToString();
-  EXPECT_EQ(RenderText(alt, pc_name), RenderText(base, pc_name))
-      << "format=v" << int(format);
+  EXPECT_EQ(RenderText(alt, pc_name), RenderText(base, pc_name)) << "seed " << seed;
   EXPECT_EQ(Tuples(alt.races.reports()), Tuples(base.races.reports()));
 }
 
@@ -465,8 +458,7 @@ TEST(OracleShapes, RaceOnlyOnLastElementOfCoalescedRun) {
   // and the gap after it are 8 bytes clear.
   const EventScript tail = {trace::RawEvent::Access(
       kBase + (kCount - 1) * kStride, 8, /*write=*/false, 20)};
-  ASSERT_NO_FATAL_FAILURE(
-      WriteScripts(dir.path(), trace::kTraceFormatV3, {{run}, {tail}}));
+  ASSERT_NO_FATAL_FAILURE(WriteScripts(dir.path(), {{run}, {tail}}));
 
   // The writer must have coalesced the sweep, or this is not the shape.
   auto store = TraceStore::OpenDir(dir.path());
@@ -503,14 +495,9 @@ TEST(OracleShapes, ReleaseEndsLockProtectionWithinSegment) {
   const EventScript t1 = {trace::RawEvent::MutexAcquire(kLock),
                           trace::RawEvent::Access(kX, 8, true, 20),
                           trace::RawEvent::MutexRelease(kLock)};
-  for (uint8_t format :
-       {trace::kTraceFormatV1, trace::kTraceFormatV2, trace::kTraceFormatV3}) {
-    TempDir dir("oracle-release");
-    ASSERT_NO_FATAL_FAILURE(WriteScripts(dir.path(), format, {{t0}, {t1}}));
-    EXPECT_EQ(AnalyzeAndCheckOracle(dir.path()),
-              (std::set<oracle::PcPair>{{11, 20}}))
-        << "format=v" << int(format);
-  }
+  TempDir dir("oracle-release");
+  ASSERT_NO_FATAL_FAILURE(WriteScripts(dir.path(), {{t0}, {t1}}));
+  EXPECT_EQ(AnalyzeAndCheckOracle(dir.path()), (std::set<oracle::PcPair>{{11, 20}}));
 }
 
 }  // namespace

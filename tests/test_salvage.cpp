@@ -1,7 +1,7 @@
 // Salvage-mode tests: the corruption matrix (truncate a 3-frame log at every
-// byte; flip every bit position once) for both event formats, salvage-mode
-// store opening, meta plausibility validation, and degraded-but-honest
-// offline analysis of damaged traces.
+// byte; flip every bit position once), salvage-mode store opening, meta
+// plausibility validation, the refusal of retired trace versions, and
+// degraded-but-honest offline analysis of damaged traces.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -46,9 +46,10 @@ struct MatrixLog {
   std::vector<trace::RawEvent> events;  // all 30, in stream order
   Bytes file;                           // pristine log bytes
   std::vector<uint64_t> frame_ends;     // file offset of each frame's end
+  std::vector<uint64_t> frame_raw;      // each frame's logical (raw) size
 };
 
-MatrixLog BuildMatrixLog(uint8_t format, const std::string& dir) {
+MatrixLog BuildMatrixLog(const std::string& dir) {
   MatrixLog log;
   trace::Flusher flusher(/*async=*/false);
   trace::WriterConfig wc;
@@ -56,19 +57,17 @@ MatrixLog BuildMatrixLog(uint8_t format, const std::string& dir) {
   wc.meta_path = dir + "/matrix.meta";
   wc.buffer_bytes = 16 * kEventsPerFrame;  // 10 events per frame
   wc.flusher = &flusher;
-  wc.format = format;
   wc.codec = FindCompressor("raw");
   trace::ThreadTraceWriter writer(0, wc);
   writer.BeginSegment(Meta(0, 2));
   for (uint32_t i = 0; i < 3 * kEventsPerFrame; i++) {
     // Low-valued bytes on purpose: the payload must not accidentally contain
     // a frame-magic byte sequence, or resynchronization offsets would depend
-    // on the event data. v3 logs interleave coalesced run events so the
-    // matrix also covers the v3-only payload shape.
+    // on the event data. Coalesced run events are interleaved so the
+    // matrix covers every payload shape.
     trace::RawEvent e =
-        format >= trace::kTraceFormatV3 && i % 5 == 4
-            ? trace::RawEvent::Run(0x2000 + i * 8, 8, 3, 8, i % 2, /*pc=*/i)
-            : trace::RawEvent::Access(0x2000 + i * 8, 8, i % 2, /*pc=*/i);
+        i % 5 == 4 ? trace::RawEvent::Run(0x2000 + i * 8, 8, 3, 8, i % 2, /*pc=*/i)
+                   : trace::RawEvent::Access(0x2000 + i * 8, 8, i % 2, /*pc=*/i);
     writer.Append(e);
     log.events.push_back(e);
   }
@@ -83,6 +82,7 @@ MatrixLog BuildMatrixLog(uint8_t format, const std::string& dir) {
     uint64_t raw = 0;
     EXPECT_TRUE(SkipFrame(r, &raw).ok());
     log.frame_ends.push_back(r.position());
+    log.frame_raw.push_back(raw);
   }
   EXPECT_EQ(log.frame_ends.size(), 3u);
   return log;
@@ -109,11 +109,9 @@ std::vector<trace::RawEvent> StreamAll(const trace::LogReader& reader,
   return out;
 }
 
-class CorruptionMatrix : public ::testing::TestWithParam<uint8_t> {};
-
-TEST_P(CorruptionMatrix, TruncationAtEveryByte) {
+TEST(CorruptionMatrix, TruncationAtEveryByte) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildMatrixLog(dir.path());
   const std::string path = dir.File("trunc.log");
 
   for (size_t len = 0; len < log.file.size(); len++) {
@@ -129,8 +127,7 @@ TEST_P(CorruptionMatrix, TruncationAtEveryByte) {
     // Strict: a file that does not end exactly on a frame boundary is
     // rejected wholesale.
     auto strict = trace::LogReader::Open(path);
-    EXPECT_EQ(strict.ok(), at_boundary) << "format " << int(GetParam())
-                                        << " truncated at " << len;
+    EXPECT_EQ(strict.ok(), at_boundary) << "truncated at " << len;
 
     // Salvage: always opens; recovers exactly the complete frames and
     // accounts for every remaining byte.
@@ -151,9 +148,9 @@ TEST_P(CorruptionMatrix, TruncationAtEveryByte) {
   }
 }
 
-TEST_P(CorruptionMatrix, BitFlipAtEveryByte) {
+TEST(CorruptionMatrix, BitFlipAtEveryByte) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildMatrixLog(dir.path());
   const std::string path = dir.File("flip.log");
 
   for (size_t pos = 0; pos < log.file.size(); pos++) {
@@ -194,9 +191,9 @@ TEST_P(CorruptionMatrix, BitFlipAtEveryByte) {
 // Between frames: the normal seal position (the handler appends after the
 // last complete frame). Both strict and salvage readers accept it, every
 // event survives, and the log is still clean().
-TEST_P(CorruptionMatrix, CrashMarkerBetweenFramesKeepsLogClean) {
+TEST(CorruptionMatrix, CrashMarkerBetweenFramesKeepsLogClean) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildMatrixLog(dir.path());
   const std::string path = dir.File("seal.log");
 
   Bytes sealed(log.file.begin(),
@@ -231,9 +228,9 @@ TEST_P(CorruptionMatrix, CrashMarkerBetweenFramesKeepsLogClean) {
 // Mid-frame: the process died while a frame append was in flight, so the
 // marker lands on top of a torn frame. Salvage resynchronizes at the marker,
 // accounts the torn bytes, and still reports the seal.
-TEST_P(CorruptionMatrix, CrashMarkerAfterTornFrameStillReported) {
+TEST(CorruptionMatrix, CrashMarkerAfterTornFrameStillReported) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildMatrixLog(dir.path());
   const std::string path = dir.File("torn_seal.log");
 
   // Cut frame 2 in half, then seal.
@@ -263,7 +260,7 @@ TEST_P(CorruptionMatrix, CrashMarkerAfterTornFrameStillReported) {
 
 // Before the first flush: the process died before ANY frame hit the disk.
 // The sealed log is just one marker - zero events, but honest and clean.
-TEST_P(CorruptionMatrix, CrashMarkerAloneIsACleanEmptyLog) {
+TEST(CorruptionMatrix, CrashMarkerAloneIsACleanEmptyLog) {
   TempDir dir;
   const std::string path = dir.File("empty_seal.log");
   Bytes sealed;
@@ -283,9 +280,9 @@ TEST_P(CorruptionMatrix, CrashMarkerAloneIsACleanEmptyLog) {
   EXPECT_TRUE(strict.ok()) << strict.status().ToString();
 }
 
-TEST_P(CorruptionMatrix, VerifyLogReportsCrashMarkerRow) {
+TEST(CorruptionMatrix, VerifyLogReportsCrashMarkerRow) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(GetParam(), dir.path());
+  const MatrixLog log = BuildMatrixLog(dir.path());
   const std::string path = dir.File("verify_seal.log");
   Bytes sealed = log.file;
   WriteCrashMarkerFrame(&sealed, SIGFPE);
@@ -303,19 +300,11 @@ TEST_P(CorruptionMatrix, VerifyLogReportsCrashMarkerRow) {
   EXPECT_EQ(stats.value().crash_signo, SIGFPE);
 }
 
-INSTANTIATE_TEST_SUITE_P(Formats, CorruptionMatrix,
-                         ::testing::Values(trace::kTraceFormatV1,
-                                           trace::kTraceFormatV2,
-                                           trace::kTraceFormatV3),
-                         [](const auto& info) {
-                           return "v" + std::to_string(info.param);
-                         });
-
 // --- targeted damage with exact expectations ------------------------------
 
 TEST(SalvageReader, PayloadFlipLosesOnlyThatFrame) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(trace::kTraceFormatV1, dir.path());
+  const MatrixLog log = BuildMatrixLog(dir.path());
   const std::string path = dir.File("t.log");
   // Flip a byte in the middle of frame 2's payload (raw codec: the payload
   // is the tail of the frame, so frame_ends[1] - 8 is inside it).
@@ -334,7 +323,7 @@ TEST(SalvageReader, PayloadFlipLosesOnlyThatFrame) {
   // the middle is skipped and accounted.
   uint64_t skipped = 0;
   const auto events = StreamAll(salvaged.value(), &skipped);
-  EXPECT_EQ(skipped, kEventsPerFrame * 16u);
+  EXPECT_EQ(skipped, log.frame_raw[1]);
   ASSERT_EQ(events.size(), 2 * kEventsPerFrame);
   EXPECT_EQ(events[0], log.events[0]);
   EXPECT_EQ(events[kEventsPerFrame], log.events[2 * kEventsPerFrame]);
@@ -342,7 +331,7 @@ TEST(SalvageReader, PayloadFlipLosesOnlyThatFrame) {
 
 TEST(SalvageReader, MagicFlipCostsOffsetTrust) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(trace::kTraceFormatV1, dir.path());
+  const MatrixLog log = BuildMatrixLog(dir.path());
   const std::string path = dir.File("t.log");
   Bytes damaged = log.file;
   damaged[log.frame_ends[0]] ^= 0x01;  // first byte of frame 2's magic
@@ -364,7 +353,7 @@ TEST(SalvageReader, MagicFlipCostsOffsetTrust) {
 
 TEST(SalvageReader, VerifyLogListsEveryFrameWithStatus) {
   TempDir dir;
-  const MatrixLog log = BuildMatrixLog(trace::kTraceFormatV1, dir.path());
+  const MatrixLog log = BuildMatrixLog(dir.path());
   const std::string path = dir.File("t.log");
   Bytes damaged = log.file;
   damaged[log.frame_ends[1] - 8] ^= 0x10;  // corrupt frame 2's payload
@@ -388,14 +377,13 @@ TEST(SalvageReader, VerifyLogListsEveryFrameWithStatus) {
 
 /// Writes one thread's trace exactly like test_offline's SyntheticTrace.
 void WriteThread(const std::string& dir, trace::Flusher& flusher, uint32_t tid,
-                 uint8_t format, uint64_t buffer_bytes,
+                 uint64_t buffer_bytes,
                  const std::vector<std::pair<trace::IntervalMeta,
                                              std::vector<trace::RawEvent>>>& segs) {
   trace::WriterConfig wc;
   wc.log_path = dir + "/sword_t" + std::to_string(tid) + ".log";
   wc.meta_path = dir + "/sword_t" + std::to_string(tid) + ".meta";
   wc.flusher = &flusher;
-  wc.format = format;
   wc.buffer_bytes = buffer_bytes;
   trace::ThreadTraceWriter writer(tid, wc);
   for (const auto& [meta, events] : segs) {
@@ -415,17 +403,14 @@ uint64_t FirstFrameEnd(const std::string& log_path) {
   return r.position();
 }
 
-class SalvageAnalysis : public ::testing::TestWithParam<uint8_t> {};
-
 // The acceptance scenario: a killed run truncated one thread's log; strict
 // analysis must reject the trace, salvage analysis must still report the
 // races recoverable from the surviving frames - with nonzero loss counters.
-TEST_P(SalvageAnalysis, TruncatedRunStrictRejectsSalvageRecovers) {
-  const uint8_t format = GetParam();
+TEST(SalvageAnalysis, TruncatedRunStrictRejectsSalvageRecovers) {
   TempDir dir;
   trace::Flusher flusher(/*async=*/false);
   // Thread 0: one intact segment with the racing write.
-  WriteThread(dir.path(), flusher, 0, format, 2048,
+  WriteThread(dir.path(), flusher, 0, 2048,
               {{Meta(0, 2), {trace::RawEvent::Access(0x1000, 8, 1, 11)}}});
   // Thread 1: two segments, one frame each (10-event buffer); the racing
   // read lives in segment A, segment B's frame will be truncated away.
@@ -437,7 +422,7 @@ TEST_P(SalvageAnalysis, TruncatedRunStrictRejectsSalvageRecovers) {
   for (uint32_t i = 0; i < 10; i++) {
     seg_b.push_back(trace::RawEvent::Access(0xa000 + i * 8, 8, 1, 24));
   }
-  WriteThread(dir.path(), flusher, 1, format, 160,
+  WriteThread(dir.path(), flusher, 1, 160,
               {{Meta(1, 2), seg_a}, {Meta(1, 2, 1), seg_b}});
 
   // The "crash": everything after thread 1's first frame never hit the disk.
@@ -476,11 +461,10 @@ TEST_P(SalvageAnalysis, TruncatedRunStrictRejectsSalvageRecovers) {
 
 // Same crash, but the cut lands MID-frame: the log itself is damaged, not
 // just short.
-TEST_P(SalvageAnalysis, MidFrameTruncationStillAnalyzable) {
-  const uint8_t format = GetParam();
+TEST(SalvageAnalysis, MidFrameTruncationStillAnalyzable) {
   TempDir dir;
   trace::Flusher flusher(/*async=*/false);
-  WriteThread(dir.path(), flusher, 0, format, 2048,
+  WriteThread(dir.path(), flusher, 0, 2048,
               {{Meta(0, 2), {trace::RawEvent::Access(0x1000, 8, 1, 11)}}});
   std::vector<trace::RawEvent> seg_a{trace::RawEvent::Access(0x1000, 8, 0, 22)};
   for (uint32_t i = 1; i < 10; i++) {
@@ -490,7 +474,7 @@ TEST_P(SalvageAnalysis, MidFrameTruncationStillAnalyzable) {
   for (uint32_t i = 0; i < 10; i++) {
     seg_b.push_back(trace::RawEvent::Access(0xa000 + i * 8, 8, 1, 24));
   }
-  WriteThread(dir.path(), flusher, 1, format, 160,
+  WriteThread(dir.path(), flusher, 1, 160,
               {{Meta(1, 2), seg_a}, {Meta(1, 2, 1), seg_b}});
 
   const std::string t1_log = dir.path() + "/sword_t1.log";
@@ -514,27 +498,21 @@ TEST_P(SalvageAnalysis, MidFrameTruncationStillAnalyzable) {
   EXPECT_EQ(result.stats.events_missing, 10u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Formats, SalvageAnalysis,
-                         ::testing::Values(trace::kTraceFormatV1,
-                                           trace::kTraceFormatV2,
-                                           trace::kTraceFormatV3),
-                         [](const auto& info) {
-                           return "v" + std::to_string(info.param);
-                         });
-
 TEST(MetaValidation, ImplausibleEventCountRejected) {
   TempDir dir;
   trace::Flusher flusher(/*async=*/false);
-  WriteThread(dir.path(), flusher, 0, trace::kTraceFormatV1, 2048,
+  WriteThread(dir.path(), flusher, 0, 2048,
               {{Meta(0, 2), {trace::RawEvent::Access(0x1000, 8, 1, 11)}}});
 
-  // Tamper: claim 5 events for a 16-byte v1 segment.
+  // Tamper: claim 5 events for a 4-byte segment (tag, pc and a 2-byte
+  // address delta); every event takes at least one byte.
   const std::string meta_path = dir.path() + "/sword_t0.meta";
   auto bytes = ReadFileBytes(meta_path);
   ASSERT_TRUE(bytes.ok());
   trace::MetaFile meta;
   ASSERT_TRUE(trace::MetaFile::Decode(bytes.value(), &meta).ok());
   ASSERT_EQ(meta.intervals.size(), 1u);
+  ASSERT_EQ(meta.intervals[0].data_size, 4u);
   meta.intervals[0].event_count = 5;
   ASSERT_TRUE(WriteFile(meta_path, meta.Encode()).ok());
 
@@ -551,7 +529,7 @@ TEST(MetaValidation, ImplausibleEventCountRejected) {
 TEST(MetaValidation, RecordBeyondLogRejectedStrictKeptInSalvage) {
   TempDir dir;
   trace::Flusher flusher(/*async=*/false);
-  WriteThread(dir.path(), flusher, 0, trace::kTraceFormatV1, 2048,
+  WriteThread(dir.path(), flusher, 0, 2048,
               {{Meta(0, 2), {trace::RawEvent::Access(0x1000, 8, 1, 11)}}});
 
   // Tamper: a second record addressing data the log never received - the
@@ -562,7 +540,8 @@ TEST(MetaValidation, RecordBeyondLogRejectedStrictKeptInSalvage) {
   trace::MetaFile meta;
   ASSERT_TRUE(trace::MetaFile::Decode(bytes.value(), &meta).ok());
   trace::IntervalMeta ghost = Meta(0, 2, 1);
-  ghost.data_begin = 16;
+  ASSERT_EQ(meta.intervals.size(), 1u);
+  ghost.data_begin = meta.intervals[0].data_size;  // the log's end
   ghost.data_size = 64;
   ghost.event_count = 4;
   meta.intervals.push_back(ghost);
@@ -586,7 +565,7 @@ TEST(MetaValidation, RecordBeyondLogRejectedStrictKeptInSalvage) {
 TEST(MetaValidation, TornMetaTailRecoversCleanPrefix) {
   TempDir dir;
   trace::Flusher flusher(/*async=*/false);
-  WriteThread(dir.path(), flusher, 0, trace::kTraceFormatV1, 2048,
+  WriteThread(dir.path(), flusher, 0, 2048,
               {{Meta(0, 2), {trace::RawEvent::Access(0x1000, 8, 1, 11)}},
                {Meta(0, 2, 1), {trace::RawEvent::Access(0x2000, 8, 1, 12)}}});
 
@@ -609,9 +588,9 @@ TEST(MetaValidation, TornMetaTailRecoversCleanPrefix) {
 TEST(MetaValidation, MissingMetaCountedNotFatalInSalvage) {
   TempDir dir;
   trace::Flusher flusher(/*async=*/false);
-  WriteThread(dir.path(), flusher, 0, trace::kTraceFormatV1, 2048,
+  WriteThread(dir.path(), flusher, 0, 2048,
               {{Meta(0, 2), {trace::RawEvent::Access(0x1000, 8, 1, 11)}}});
-  WriteThread(dir.path(), flusher, 1, trace::kTraceFormatV1, 2048,
+  WriteThread(dir.path(), flusher, 1, 2048,
               {{Meta(1, 2), {trace::RawEvent::Access(0x1000, 8, 1, 22)}}});
   ASSERT_TRUE(RemoveFile(dir.path() + "/sword_t1.meta").ok());
 
@@ -626,10 +605,113 @@ TEST(MetaValidation, MissingMetaCountedNotFatalInSalvage) {
   EXPECT_EQ(store.value().TotalIntervals(), 1u);
 }
 
+// --- retired versions ------------------------------------------------------
+
+/// Overwrites the 4 bytes at the start of `path` with `magic`, given in
+/// on-disk byte order.
+void PatchMagic(const std::string& path, const char magic[4]) {
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  Bytes patched = bytes.value();
+  ASSERT_GE(patched.size(), 4u);
+  for (int i = 0; i < 4; i++) patched[i] = static_cast<uint8_t>(magic[i]);
+  ASSERT_TRUE(WriteFile(path, patched).ok());
+}
+
+// A v1 ("SWDF") or v2 ("SWF2") frame is refused by name, never decoded. The
+// frame is hand-made by re-tagging a v3 frame of plain accesses, whose
+// payload bytes are exactly what a v2 writer produced.
+TEST(RetiredVersions, OldFrameRefusedStrictSkippedBySalvage) {
+  for (const char* magic : {"2FWS", "FDWS"}) {  // SWF2, SWDF
+    SCOPED_TRACE(magic);
+    TempDir dir;
+    trace::Flusher flusher(/*async=*/false);
+    WriteThread(dir.path(), flusher, 0, 2048,
+                {{Meta(0, 2), {trace::RawEvent::Access(0x1000, 8, 1, 11)}}});
+    WriteThread(dir.path(), flusher, 1, 2048,
+                {{Meta(1, 2), {trace::RawEvent::Access(0x1000, 8, 0, 22)}}});
+    const std::string t1_log = dir.path() + "/sword_t1.log";
+    const uint64_t frame_bytes = FileSize(t1_log).value();
+    ASSERT_EQ(FirstFrameEnd(t1_log), frame_bytes);  // exactly one frame
+    PatchMagic(t1_log, magic);
+
+    auto strict = TraceStore::OpenDir(dir.path());
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), ErrorCode::kUnsupported)
+        << strict.status().ToString();
+    const std::string named = std::string("SW") + magic[1] + magic[0];
+    EXPECT_NE(strict.status().message().find(named), std::string::npos)
+        << strict.status().ToString();
+
+    std::vector<trace::FrameRecord> records;
+    auto verified = trace::LogReader::VerifyLog(
+        t1_log, [&](const trace::FrameRecord& f) { records.push_back(f); });
+    ASSERT_TRUE(verified.ok());
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].status.code(), ErrorCode::kUnsupported);
+    EXPECT_EQ(records[0].encoded_size, frame_bytes);
+
+    StoreOptions options;
+    options.salvage = true;
+    auto store = TraceStore::OpenDir(dir.path(), options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(store.value().integrity().bytes_skipped, frame_bytes);
+    EXPECT_EQ(store.value().integrity().frames_ok, 1u);  // thread 0's frame
+    const AnalysisResult result = Analyze(store.value());
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.races.size(), 0u);
+    EXPECT_EQ(result.stats.events_missing, 1u);
+  }
+}
+
+TEST(RetiredVersions, OldMetaRefusedStrictMissingInSalvage) {
+  TempDir dir;
+  trace::Flusher flusher(/*async=*/false);
+  WriteThread(dir.path(), flusher, 0, 2048,
+              {{Meta(0, 2), {trace::RawEvent::Access(0x1000, 8, 1, 11)}}});
+  PatchMagic(dir.path() + "/sword_t0.meta", "5MWS");  // SWM5
+
+  auto strict = TraceStore::OpenDir(dir.path());
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), ErrorCode::kUnsupported)
+      << strict.status().ToString();
+  EXPECT_NE(strict.status().message().find("SWM5"), std::string::npos);
+
+  StoreOptions options;
+  options.salvage = true;
+  auto store = TraceStore::OpenDir(dir.path(), options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(store.value().integrity().threads_missing_meta, 1u);
+  EXPECT_EQ(store.value().TotalIntervals(), 0u);
+}
+
+// FORMAT.md's Hamming rule: every magic, retired ones included, is at least
+// two bits from every other, so one flipped bit in "SW3F" is damage - never
+// a valid frame and never a retired version.
+TEST(RetiredVersions, SingleBitFlipInDataMagicIsCorrupt) {
+  TempDir dir;
+  const MatrixLog log = BuildMatrixLog(dir.path());
+  const std::string path = dir.File("flip.log");
+  for (int bit = 0; bit < 32; bit++) {
+    Bytes damaged = log.file;
+    damaged[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ASSERT_TRUE(WriteFile(path, damaged).ok());
+    auto strict = trace::LogReader::Open(path);
+    ASSERT_FALSE(strict.ok()) << "bit " << bit;
+    EXPECT_EQ(strict.status().code(), ErrorCode::kCorruptData) << "bit " << bit;
+    std::vector<trace::FrameRecord> records;
+    auto verified = trace::LogReader::VerifyLog(
+        path, [&](const trace::FrameRecord& f) { records.push_back(f); });
+    ASSERT_TRUE(verified.ok());
+    ASSERT_FALSE(records.empty());
+    EXPECT_EQ(records[0].status.code(), ErrorCode::kCorruptData) << "bit " << bit;
+  }
+}
+
 TEST(SalvageReport, TextReportShowsIntegritySection) {
   TempDir dir;
   trace::Flusher flusher(/*async=*/false);
-  WriteThread(dir.path(), flusher, 0, trace::kTraceFormatV1, 2048,
+  WriteThread(dir.path(), flusher, 0, 2048,
               {{Meta(0, 2), {trace::RawEvent::Access(0x1000, 8, 1, 11)}}});
   const std::string log_path = dir.path() + "/sword_t0.log";
   const uint64_t size = FileSize(log_path).value();

@@ -143,6 +143,37 @@ TEST_F(ToolsTest, OfflineToolRejectsBadInput) {
   }
 }
 
+TEST_F(ToolsTest, RetiredTraceVersionsAreRefused) {
+  // Overwrite a file's leading magic (given in on-disk byte order).
+  auto patch = [](const std::string& path, const char* magic) {
+    auto bytes = ReadFileBytes(path);
+    ASSERT_TRUE(bytes.ok() && bytes.value().size() >= 4) << path;
+    Bytes patched = bytes.value();
+    for (int i = 0; i < 4; i++) patched[i] = static_cast<uint8_t>(magic[i]);
+    ASSERT_TRUE(WriteFile(path, patched).ok());
+  };
+  const std::string log = dir_.path() + "/sword_t1.log";
+  const std::string meta = dir_.path() + "/sword_t1.meta";
+  auto pristine_log = ReadFileBytes(log);
+  ASSERT_TRUE(pristine_log.ok());
+
+  patch(log, "2FWS");  // a v2 ("SWF2") frame
+  const auto [rc, out] = RunCommand(ToolPath("sword-offline") + " " + dir_.path());
+  EXPECT_EQ(rc, 4) << out;
+  EXPECT_NE(out.find("unsupported"), std::string::npos) << out;
+  EXPECT_NE(out.find("SWF2"), std::string::npos) << out;
+  const auto [rc_v, out_v] =
+      RunCommand(ToolPath("sword-dump") + " " + dir_.path() + " --verify");
+  EXPECT_EQ(rc_v, 2) << out_v;
+  EXPECT_NE(out_v.find("UNSUPPORTED"), std::string::npos) << out_v;
+
+  ASSERT_TRUE(WriteFile(log, pristine_log.value()).ok());
+  patch(meta, "5MWS");  // an "SWM5" meta
+  const auto [rc_m, out_m] = RunCommand(ToolPath("sword-offline") + " " + dir_.path());
+  EXPECT_EQ(rc_m, 4) << out_m;
+  EXPECT_NE(out_m.find("SWM5"), std::string::npos) << out_m;
+}
+
 TEST_F(ToolsTest, OfflineToolValidatesFlagCombinations) {
   // Misconfigurations die with a usage error (1) before touching the trace.
   const auto [rc, out] = RunCommand(ToolPath("sword-offline") + " " + dir_.path() +
@@ -153,7 +184,8 @@ TEST_F(ToolsTest, OfflineToolValidatesFlagCombinations) {
   const auto [rc2, out2] =
       RunCommand(ToolPath("sword-offline") + " " + dir_.path() + " --threads 0");
   EXPECT_EQ(rc2, 1) << out2;
-  EXPECT_NE(out2.find("--threads must be >= 1"), std::string::npos) << out2;
+  EXPECT_NE(out2.find("--threads must be an integer in [1, "), std::string::npos)
+      << out2;
 
   const auto [rc3, out3] =
       RunCommand(ToolPath("sword-offline") + " " + dir_.path() + " --engine qp");
@@ -261,12 +293,54 @@ TEST_F(ToolsTest, RunToolRejectsInvalidNumericFlags) {
        {"--buffer-kb 0", "--buffer-kb -4", "--threads=-1", "--threads 2x",
         "--flush-workers -1", "--offline-threads -1", "--cap-mb -1",
         "--watchdog-ms -1", "--prefilter-budget -1", "--size -1",
-        "--format 4", "--flush-workers 4294967296"}) {
+        "--flush-workers 4294967296"}) {
     const auto [rc, out] = RunCommand(base + bad);
     EXPECT_EQ(rc, 1) << bad << ": " << out;
     EXPECT_NE(out.find("must be an integer in"), std::string::npos)
         << bad << ": " << out;
   }
+  // There is one trace encoding, so the old format selector is unknown.
+  const auto [rc, out] = RunCommand(base + "--format 3");
+  EXPECT_EQ(rc, 1) << out;
+  EXPECT_NE(out.find("unknown flag --format"), std::string::npos) << out;
+}
+
+TEST_F(ToolsTest, EveryToolRejectsMalformedIntegerFlags) {
+  // A value that is not a whole number in range is a usage error (1),
+  // reported before the tool reads the trace or starts any thread - never
+  // a silent 0, and never the parsable prefix ("5x" is not 5).
+  const std::string dump = ToolPath("sword-dump") + " " + dir_.path() + " --events ";
+  for (const char* bad : {"--limit abc", "--limit -1", "--thread -2"}) {
+    const auto [rc, out] = RunCommand(dump + bad);
+    EXPECT_EQ(rc, 1) << bad << ": " << out;
+    EXPECT_NE(out.find("must be an integer in"), std::string::npos) << bad << ": " << out;
+    EXPECT_EQ(out.find("pid="), std::string::npos) << bad << ": " << out;
+  }
+  const std::string offline = ToolPath("sword-offline") + " " + dir_.path() + " ";
+  for (const char* bad : {"--shards abc", "--shards 0", "--solver-budget 1e6"}) {
+    const auto [rc, out] = RunCommand(offline + bad);
+    EXPECT_EQ(rc, 1) << bad << ": " << out;
+    EXPECT_NE(out.find("must be an integer in"), std::string::npos) << bad << ": " << out;
+    EXPECT_EQ(out.find("loaded"), std::string::npos) << bad << ": " << out;
+  }
+  const std::string state = dir_.path() + "/serve-state";
+  const std::string serve =
+      ToolPath("sword-serve") + " --once --state-dir " + state + " " + dir_.path() + " ";
+  for (const char* bad : {"--poll-ms 5x", "--poll-ms 0", "--threads abc"}) {
+    const auto [rc, out] = RunCommand(serve + bad);
+    EXPECT_EQ(rc, 1) << bad << ": " << out;
+    EXPECT_NE(out.find("must be an integer in"), std::string::npos) << bad << ": " << out;
+    EXPECT_FALSE(FileExists(state)) << bad << ": the service started";
+  }
+}
+
+TEST_F(ToolsTest, RunToolReportsTheResolvedDefaultTeam) {
+  // --threads 0 runs the harness default team, and says so.
+  const auto [rc, out] = RunCommand(
+      ToolPath("sword-run") +
+      " --suite drb --name truedep1-orig-yes --tool archer --threads 0");
+  EXPECT_EQ(rc, 2) << out;
+  EXPECT_NE(out.find("under archer, 4 threads"), std::string::npos) << out;
 }
 
 TEST(ReportRender, TextAndJsonFromInProcessAnalysis) {

@@ -1,5 +1,5 @@
-// Tests for src/trace: event codecs (v1 fixed-width and v2 delta/varint),
-// meta files, the multi-worker async flusher and its buffer pool, the
+// Tests for src/trace: the v3 event codec, meta files (and the refusal of
+// retired meta versions), the multi-worker async flusher and its buffer pool, the
 // bounded writer (flush-on-full, fixed memory), and the streaming reader.
 #include <gtest/gtest.h>
 
@@ -18,35 +18,12 @@
 namespace sword::trace {
 namespace {
 
-TEST(Event, EncodingIsExactly16Bytes) {
+/// Encoded size of `events` as one frame's payload (fresh delta state).
+uint64_t EncodedSize(const std::vector<RawEvent>& events) {
+  EventCodecState state;
   ByteWriter w;
-  EncodeEvent(RawEvent::Access(0x1234, 8, 1, 42), w);
-  EXPECT_EQ(w.size(), kEventBytes);
-}
-
-TEST(Event, RoundTripAllKinds) {
-  const RawEvent cases[] = {
-      RawEvent::Access(0xdeadbeefcafeULL, 4, 3, 777),
-      RawEvent::MutexAcquire(5),
-      RawEvent::MutexRelease(5),
-      RawEvent::Access(0, 1, 0, 0),
-  };
-  for (const RawEvent& e : cases) {
-    ByteWriter w;
-    EncodeEvent(e, w);
-    ByteReader r(w.buffer());
-    RawEvent out;
-    ASSERT_TRUE(DecodeEvent(r, &out).ok());
-    EXPECT_EQ(out, e);
-  }
-}
-
-TEST(Event, UnknownKindRejected) {
-  Bytes bad(16, 0);
-  bad[0] = 99;
-  ByteReader r(bad);
-  RawEvent out;
-  EXPECT_FALSE(DecodeEvent(r, &out).ok());
+  for (const RawEvent& e : events) EncodeEventV3(e, state, w);
+  return w.size();
 }
 
 TEST(Meta, IntervalRoundTrip) {
@@ -59,6 +36,7 @@ TEST(Meta, IntervalRoundTrip) {
   m.lane = 2;
   m.data_begin = 4096;
   m.data_size = 160;
+  m.event_count = 10;
   m.lockset = {4, 9};
 
   ByteWriter w;
@@ -70,7 +48,7 @@ TEST(Meta, IntervalRoundTrip) {
   EXPECT_EQ(out.parent_region, IntervalMeta::kNoParent);
   EXPECT_EQ(out.label, m.label);
   EXPECT_EQ(out.lockset, m.lockset);
-  EXPECT_EQ(out.EventCount(), 10u);
+  EXPECT_EQ(out.event_count, 10u);
   EXPECT_EQ(out.TableOffset(), 2u);
   EXPECT_EQ(out.TableSpan(), 8u);
 }
@@ -99,44 +77,60 @@ TEST(Meta, CorruptFileRejected) {
   EXPECT_FALSE(MetaFile::Decode(Bytes{1, 2, 3}, &out).ok());
 }
 
-TEST(Meta, V2RecordsEventCountAndLogFormat) {
+TEST(Meta, RecordsEventCountAndLogFormat) {
   MetaFile file;
   file.thread_id = 1;
-  file.log_format = kTraceFormatV2;
   IntervalMeta m;
   m.label = osl::Label::Initial().Fork(0, 2);
   m.data_begin = 0;
-  m.data_size = 123;  // NOT a multiple of 16: only valid with explicit count
+  m.data_size = 123;
   m.event_count = 40;
   file.intervals.push_back(m);
 
   MetaFile out;
   ASSERT_TRUE(MetaFile::Decode(file.Encode(), &out).ok());
-  EXPECT_EQ(out.log_format, kTraceFormatV2);
+  EXPECT_EQ(out.log_format, kTraceFormatV3);
   ASSERT_EQ(out.intervals.size(), 1u);
-  EXPECT_EQ(out.intervals[0].EventCount(), 40u);
+  EXPECT_EQ(out.intervals[0].event_count, 40u);
 }
 
-TEST(Meta, V1RecordsCrossReadWithDerivedEventCount) {
-  // A v1 serialization (no event_count field) must still read back, with
-  // the count derived from the fixed 16-byte event size.
+TEST(Meta, RetiredVersionsRefusedAsUnsupported) {
+  MetaFile file;
   IntervalMeta m;
-  m.label = osl::Label::Initial().Fork(1, 4);
-  m.data_begin = 32;
-  m.data_size = 10 * kEventBytes;
-  ByteWriter w;
-  m.Serialize(w, /*version=*/1);
-  ByteReader r(w.buffer());
-  IntervalMeta out;
-  ASSERT_TRUE(IntervalMeta::Deserialize(r, &out, /*version=*/1).ok());
-  EXPECT_EQ(out.event_count, 0u);
-  EXPECT_EQ(out.EventCount(), 10u);
-  EXPECT_TRUE(r.AtEnd());
+  m.label = osl::Label::Initial().Fork(0, 2);
+  file.intervals.push_back(m);
+  const Bytes current = file.Encode();
+  // The magic's last byte names the version: "SWM6" is byte 0 '6'.
+  ASSERT_EQ(current[0], '6');
+  for (char version : {'F', '2', '3', '4', '5'}) {
+    Bytes old = current;
+    old[0] = static_cast<uint8_t>(version);
+    MetaFile out;
+    const Status s = MetaFile::Decode(old, &out);
+    EXPECT_EQ(s.code(), ErrorCode::kUnsupported) << version << ": " << s.ToString();
+    EXPECT_NE(s.message().find(std::string("SWM") + version), std::string::npos)
+        << s.message();
+    // Salvage does not guess at a retired layout either.
+    EXPECT_EQ(MetaFile::Decode(old, &out, /*salvage=*/true).code(),
+              ErrorCode::kUnsupported);
+  }
+  // An SWM6 header naming a retired log format is refused the same way; an
+  // unknown one is damage.
+  for (uint8_t log_format : {1, 2, 7}) {
+    MetaFile named = file;
+    named.log_format = log_format;
+    MetaFile out;
+    EXPECT_EQ(MetaFile::Decode(named.Encode(), &out).code(),
+              log_format == 7 ? ErrorCode::kCorruptData : ErrorCode::kUnsupported)
+        << int(log_format);
+  }
+  Bytes garbage = current;
+  garbage[0] = 'X';
+  MetaFile out;
+  EXPECT_EQ(MetaFile::Decode(garbage, &out).code(), ErrorCode::kCorruptData);
 }
 
-// ---------------------------------------------------------------- format v2
-
-TEST(EventV2, RoundTripAllKinds) {
+TEST(EventV3, RoundTripAllKinds) {
   const RawEvent cases[] = {
       RawEvent::Access(0xdeadbeefcafeULL, 4, 3, 777),
       RawEvent::Access(0x1000, 8, 1, 12),     // pow2 size, write
@@ -146,91 +140,86 @@ TEST(EventV2, RoundTripAllKinds) {
       RawEvent::Access(0, 1, 0, 0),
       RawEvent::MutexAcquire(5),
       RawEvent::MutexRelease(131071),
+      RawEvent::Run(0x2000, 16, 9, 8, 1, 4),
       RawEvent::Access(~0ULL, 128, 2, 0xffffffffu),  // extremes
   };
   EventCodecState enc, dec;
   ByteWriter w;
-  for (const RawEvent& e : cases) EncodeEventV2(e, enc, w);
+  for (const RawEvent& e : cases) EncodeEventV3(e, enc, w);
   ByteReader r(w.buffer());
   for (const RawEvent& e : cases) {
     RawEvent out;
-    ASSERT_TRUE(DecodeEventV2(r, dec, &out).ok());
+    ASSERT_TRUE(DecodeEventV3(r, dec, &out).ok());
     EXPECT_EQ(out, e);
   }
   EXPECT_TRUE(r.AtEnd());
 }
 
-TEST(EventV2, StridedAccessesEncodeDenselyUnderMaxBound) {
+TEST(EventV3, StridedAccessesEncodeDensely) {
   // The motivating case: a strided loop. Tag + 1-byte pc + small delta
-  // should land far below v1's 16 bytes/event (acceptance: >= 2x denser).
-  EventCodecState enc;
-  ByteWriter w;
+  // lands far below a fixed 16-byte event.
+  std::vector<RawEvent> events;
   const int n = 1000;
   for (int i = 0; i < n; i++) {
-    EncodeEventV2(RawEvent::Access(0x10000 + 8 * static_cast<uint64_t>(i), 8, 1, 3),
-                  enc, w);
+    events.push_back(RawEvent::Access(0x10000 + 8 * static_cast<uint64_t>(i), 8, 1, 3));
   }
-  EXPECT_LE(w.size(), n * kEventBytes / 2);
-  EXPECT_LE(w.size(), 4u * n);  // in practice ~3 bytes/event here
+  EXPECT_LE(EncodedSize(events), 4u * n);  // in practice ~3 bytes/event here
 }
 
-TEST(EventV2, SingleEventNeverExceedsMaxBytes) {
+TEST(EventV3, SingleEventNeverExceedsMaxBytes) {
   Rng rng(99);
   for (int trial = 0; trial < 2000; trial++) {
     EventCodecState enc;
     enc.prev_addr = rng.Next();
-    RawEvent e = RawEvent::Access(rng.Next(), static_cast<uint8_t>(rng.Below(256)),
-                                  static_cast<uint8_t>(rng.Below(256)),
-                                  static_cast<uint32_t>(rng.Next()));
+    const auto size = static_cast<uint8_t>(rng.Below(256));
+    const auto flags = static_cast<uint8_t>(rng.Below(256));
+    const auto pc = static_cast<uint32_t>(rng.Next());
+    const RawEvent e = rng.Chance(0.5)
+                           ? RawEvent::Access(rng.Next(), size, flags, pc)
+                           : RawEvent::Run(rng.Next(), rng.Next(), rng.Next(), size,
+                                           flags, pc);
     ByteWriter w;
-    EncodeEventV2(e, enc, w);
-    EXPECT_LE(w.size(), kMaxEventBytesV2);
+    EncodeEventV3(e, enc, w);
+    EXPECT_LE(w.size(), kMaxEventBytesV3);
   }
 }
 
-TEST(EventV2, DeltaStateResetMatchesFrameBoundaries) {
+TEST(EventV3, DeltaStateResetMatchesFrameBoundaries) {
   // Encoding with fresh state must decode with fresh state: simulate two
   // frames and make sure crossing the boundary with stale state would skew
   // the address (i.e. the reset is load-bearing).
   EventCodecState enc1;
   ByteWriter f1;
-  EncodeEventV2(RawEvent::Access(0x5000, 8, 0, 1), enc1, f1);
+  EncodeEventV3(RawEvent::Access(0x5000, 8, 0, 1), enc1, f1);
   EventCodecState enc2;  // new frame: state resets
   ByteWriter f2;
-  EncodeEventV2(RawEvent::Access(0x5008, 8, 0, 1), enc2, f2);
+  EncodeEventV3(RawEvent::Access(0x5008, 8, 0, 1), enc2, f2);
 
   EventCodecState dec;  // fresh per frame
   ByteReader r1(f1.buffer());
   RawEvent out;
-  ASSERT_TRUE(DecodeEventV2(r1, dec, &out).ok());
+  ASSERT_TRUE(DecodeEventV3(r1, dec, &out).ok());
   EXPECT_EQ(out.addr, 0x5000u);
   dec = EventCodecState{};
   ByteReader r2(f2.buffer());
-  ASSERT_TRUE(DecodeEventV2(r2, dec, &out).ok());
+  ASSERT_TRUE(DecodeEventV3(r2, dec, &out).ok());
   EXPECT_EQ(out.addr, 0x5008u);
 }
 
-TEST(EventV2, MalformedTagsRejected) {
-  {
-    Bytes bad = {0x03};  // kind 3: reserved
-    ByteReader r(bad);
-    EventCodecState dec;
-    RawEvent out;
-    EXPECT_FALSE(DecodeEventV2(r, dec, &out).ok());
-  }
+TEST(EventV3, MalformedTagsRejected) {
   {
     Bytes bad = {static_cast<uint8_t>(0x01 | (1u << 4)), 5};  // mutex with size bits
     ByteReader r(bad);
     EventCodecState dec;
     RawEvent out;
-    EXPECT_FALSE(DecodeEventV2(r, dec, &out).ok());
+    EXPECT_FALSE(DecodeEventV3(r, dec, &out).ok());
   }
   for (uint8_t code = 9; code <= 14; code++) {  // reserved size codes
     Bytes bad = {static_cast<uint8_t>(code << 4), 0, 0};
     ByteReader r(bad);
     EventCodecState dec;
     RawEvent out;
-    EXPECT_FALSE(DecodeEventV2(r, dec, &out).ok());
+    EXPECT_FALSE(DecodeEventV3(r, dec, &out).ok());
   }
 }
 
@@ -273,15 +262,20 @@ struct WriterFixture {
   MemoryScope memory{"trace-test"};
   Flusher flusher{FlusherConfig{.async = false, .memory = &memory}};
 
-  // Legacy tests pin v1's fixed 16-byte event math; v2 tests opt in.
-  WriterConfig Config(uint64_t buffer_bytes = 4096, uint8_t format = kTraceFormatV1) {
+  WriterConfig Config(uint64_t buffer_bytes = 4096) {
     WriterConfig wc;
     wc.log_path = dir.File("t0.log");
     wc.meta_path = dir.File("t0.meta");
     wc.buffer_bytes = buffer_bytes;
     wc.flusher = &flusher;
-    wc.format = format;
     return wc;
+  }
+
+  MetaFile ReadMeta() {
+    auto bytes = ReadFileBytes(dir.File("t0.meta"));
+    MetaFile meta;
+    EXPECT_TRUE(bytes.ok() && MetaFile::Decode(bytes.value(), &meta).ok());
+    return meta;
   }
 
   IntervalMeta Meta(uint64_t region = 0, uint64_t phase = 0) {
@@ -298,14 +292,23 @@ TEST(Writer, BufferIsBoundedAndFlushesWhenFull) {
   // 4096-byte buffer = 256 events; write 1000 -> at least 3 flushes.
   ThreadTraceWriter writer(0, fx.Config(4096));
   writer.BeginSegment(fx.Meta());
+  std::vector<RawEvent> frame;
+  uint64_t expected_bytes = 0;
   for (uint64_t i = 0; i < 1000; i++) {
-    writer.Append(RawEvent::Access(1000 + i * 8, 8, 1, 1));
+    const RawEvent e = RawEvent::Access(1000 + i * 8, 8, 1, 1);
+    writer.Append(e);
+    frame.push_back(e);
+    if (frame.size() == 4096 / kBufferBytesPerEvent) {  // delta state resets
+      expected_bytes += EncodedSize(frame);
+      frame.clear();
+    }
   }
+  expected_bytes += EncodedSize(frame);
   writer.EndSegment();
   ASSERT_TRUE(writer.Finish().ok());
   EXPECT_GE(writer.flushes(), 3u);
   EXPECT_EQ(writer.events_logged(), 1000u);
-  EXPECT_EQ(writer.logical_bytes(), 1000 * kEventBytes);
+  EXPECT_EQ(writer.logical_bytes(), expected_bytes);
   // Memory charge equals the buffer, not the data volume.
   EXPECT_LE(fx.memory.peak(), 4096u + 64);
 }
@@ -313,23 +316,25 @@ TEST(Writer, BufferIsBoundedAndFlushesWhenFull) {
 TEST(Writer, SegmentsRecordLogicalOffsets) {
   WriterFixture fx;
   ThreadTraceWriter writer(0, fx.Config());
+  const std::vector<RawEvent> first(10, RawEvent::Access(100, 8, 0, 1));
+  std::vector<RawEvent> both = first;
+  both.insert(both.end(), 5, RawEvent::Access(200, 8, 1, 2));
   writer.BeginSegment(fx.Meta(0, 0));
-  for (int i = 0; i < 10; i++) writer.Append(RawEvent::Access(100, 8, 0, 1));
+  for (const RawEvent& e : first) writer.Append(e);
   writer.EndSegment();
   writer.BeginSegment(fx.Meta(0, 1));
-  for (int i = 0; i < 5; i++) writer.Append(RawEvent::Access(200, 8, 1, 2));
+  for (size_t i = first.size(); i < both.size(); i++) writer.Append(both[i]);
   writer.EndSegment();
   ASSERT_TRUE(writer.Finish().ok());
 
-  auto meta_bytes = ReadFileBytes(fx.dir.File("t0.meta"));
-  ASSERT_TRUE(meta_bytes.ok());
-  MetaFile meta;
-  ASSERT_TRUE(MetaFile::Decode(meta_bytes.value(), &meta).ok());
+  const MetaFile meta = fx.ReadMeta();
   ASSERT_EQ(meta.intervals.size(), 2u);
   EXPECT_EQ(meta.intervals[0].data_begin, 0u);
-  EXPECT_EQ(meta.intervals[0].data_size, 10 * kEventBytes);
-  EXPECT_EQ(meta.intervals[1].data_begin, 10 * kEventBytes);
-  EXPECT_EQ(meta.intervals[1].data_size, 5 * kEventBytes);
+  EXPECT_EQ(meta.intervals[0].data_size, EncodedSize(first));
+  EXPECT_EQ(meta.intervals[0].event_count, 10u);
+  EXPECT_EQ(meta.intervals[1].data_begin, EncodedSize(first));
+  EXPECT_EQ(meta.intervals[1].data_size, EncodedSize(both) - EncodedSize(first));
+  EXPECT_EQ(meta.intervals[1].event_count, 5u);
 }
 
 TEST(Writer, EmptySegmentsDropped) {
@@ -341,15 +346,13 @@ TEST(Writer, EmptySegmentsDropped) {
   writer.Append(RawEvent::Access(1, 1, 0, 1));
   writer.EndSegment();
   ASSERT_TRUE(writer.Finish().ok());
-  auto meta_bytes = ReadFileBytes(fx.dir.File("t0.meta"));
-  MetaFile meta;
-  ASSERT_TRUE(MetaFile::Decode(meta_bytes.value(), &meta).ok());
-  EXPECT_EQ(meta.intervals.size(), 1u);
+  EXPECT_EQ(fx.ReadMeta().intervals.size(), 1u);
 }
 
 TEST(ReaderTest, RoundTripThroughCompressedFrames) {
   WriterFixture fx;
   std::vector<RawEvent> logged;
+  uint64_t logical = 0;
   {
     ThreadTraceWriter writer(0, fx.Config(1024));  // small buffer: many frames
     writer.BeginSegment(fx.Meta());
@@ -363,15 +366,16 @@ TEST(ReaderTest, RoundTripThroughCompressedFrames) {
     }
     writer.EndSegment();
     ASSERT_TRUE(writer.Finish().ok());
+    logical = writer.logical_bytes();
   }
 
   auto reader = LogReader::Open(fx.dir.File("t0.log"));
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_GT(reader.value().frame_count(), 1u);
-  EXPECT_EQ(reader.value().total_logical_bytes(), 500 * kEventBytes);
+  EXPECT_EQ(reader.value().total_logical_bytes(), logical);
 
   std::vector<RawEvent> back;
-  ASSERT_TRUE(reader.value().ReadRange(0, 500 * kEventBytes, &back).ok());
+  ASSERT_TRUE(reader.value().ReadRange(0, logical, &back).ok());
   EXPECT_EQ(back, logged);
 }
 
@@ -379,19 +383,23 @@ TEST(ReaderTest, RangeSlicingAcrossFrameBoundaries) {
   WriterFixture fx;
   {
     ThreadTraceWriter writer(0, fx.Config(160));  // 10 events per frame
-    writer.BeginSegment(fx.Meta());
-    for (uint64_t i = 0; i < 100; i++) {
+    for (uint64_t i = 0; i < 100; i++) {  // one segment per event: its offsets
+      writer.BeginSegment(fx.Meta(0, i));
       writer.Append(RawEvent::Access(i, 8, 0, static_cast<uint32_t>(i)));
+      writer.EndSegment();
     }
-    writer.EndSegment();
     ASSERT_TRUE(writer.Finish().ok());
   }
   auto reader = LogReader::Open(fx.dir.File("t0.log"));
   ASSERT_TRUE(reader.ok());
+  const MetaFile meta = fx.ReadMeta();
+  ASSERT_EQ(meta.intervals.size(), 100u);
 
-  // Slice [35, 55): spans frames 3..5.
+  // Slice events [35, 55): spans frames 3..5.
+  const uint64_t lo = meta.intervals[35].data_begin;
+  const uint64_t hi = meta.intervals[54].data_begin + meta.intervals[54].data_size;
   std::vector<RawEvent> out;
-  ASSERT_TRUE(reader.value().ReadRange(35 * kEventBytes, 20 * kEventBytes, &out).ok());
+  ASSERT_TRUE(reader.value().ReadRange(lo, hi - lo, &out).ok());
   ASSERT_EQ(out.size(), 20u);
   for (size_t k = 0; k < out.size(); k++) EXPECT_EQ(out[k].addr, 35 + k);
 }
@@ -408,29 +416,34 @@ TEST(ReaderTest, RejectsBadRanges) {
   auto reader = LogReader::Open(fx.dir.File("t0.log"));
   ASSERT_TRUE(reader.ok());
   std::vector<RawEvent> out;
-  EXPECT_FALSE(reader.value().ReadRange(0, 2 * kEventBytes, &out).ok());  // past end
-  EXPECT_FALSE(reader.value().ReadRange(3, 8, &out).ok());               // misaligned
+  const uint64_t total = reader.value().total_logical_bytes();
+  EXPECT_FALSE(reader.value().ReadRange(0, total + 1, &out).ok());  // past end
+  EXPECT_FALSE(reader.value().ReadRange(1, total - 1, &out).ok());  // misaligned
 }
 
 TEST(ReaderTest, FrameCacheAvoidsRedundantDecompression) {
   WriterFixture fx;
   {
     ThreadTraceWriter writer(0, fx.Config(1 << 16));  // everything in 1 frame
-    writer.BeginSegment(fx.Meta());
-    for (uint64_t i = 0; i < 200; i++) {
-      writer.Append(RawEvent::Access(i, 8, 0, static_cast<uint32_t>(i)));
+    for (uint64_t k = 0; k < 50; k++) {  // 50 tiny segments of 4 events
+      writer.BeginSegment(fx.Meta(0, k));
+      for (uint64_t i = 4 * k; i < 4 * k + 4; i++) {
+        writer.Append(RawEvent::Access(i, 8, 0, static_cast<uint32_t>(i)));
+      }
+      writer.EndSegment();
     }
-    writer.EndSegment();
     ASSERT_TRUE(writer.Finish().ok());
   }
   auto reader = LogReader::Open(fx.dir.File("t0.log"));
   ASSERT_TRUE(reader.ok());
+  const MetaFile meta = fx.ReadMeta();
+  ASSERT_EQ(meta.intervals.size(), 50u);
   FrameCache cache;
-  // 50 tiny interval-style reads from the same frame: 1 miss, 49 hits.
-  for (uint64_t k = 0; k < 50; k++) {
+  // 50 tiny interval reads from the same frame: 1 miss, 49 hits.
+  for (const IntervalMeta& m : meta.intervals) {
     uint64_t count = 0;
     ASSERT_TRUE(reader.value()
-                    .StreamRange(k * 4 * kEventBytes, 4 * kEventBytes,
+                    .StreamRange(m.data_begin, m.data_size,
                                  [&](const RawEvent&) { count++; }, &cache)
                     .ok());
     EXPECT_EQ(count, 4u);
@@ -497,16 +510,14 @@ TEST(ReaderTest, CorruptLogDetected) {
   }
 }
 
-// ------------------------------------------------------- v2 writer + reader
-
-TEST(WriterV2, RoundTripSegmentsAcrossFrameBoundaries) {
-  // Tiny buffer: segments straddle frames, so mid-frame v2 reads (decode
-  // from frame start, discard the prefix) are exercised heavily.
+TEST(Writer, RoundTripSegmentsAcrossFrameBoundaries) {
+  // Tiny buffer: segments straddle frames, so mid-frame reads (decode from
+  // frame start, discard the prefix) are exercised heavily.
   WriterFixture fx;
   std::vector<std::vector<RawEvent>> segs;
   Rng rng(77);
   {
-    ThreadTraceWriter writer(0, fx.Config(256, kTraceFormatV2));
+    ThreadTraceWriter writer(0, fx.Config(256));
     for (uint64_t s = 0; s < 6; s++) {
       writer.BeginSegment(fx.Meta(0, s));
       segs.emplace_back();
@@ -533,11 +544,8 @@ TEST(WriterV2, RoundTripSegmentsAcrossFrameBoundaries) {
     EXPECT_GE(writer.flushes(), 2u);
   }
 
-  auto meta_bytes = ReadFileBytes(fx.dir.File("t0.meta"));
-  ASSERT_TRUE(meta_bytes.ok());
-  MetaFile meta;
-  ASSERT_TRUE(MetaFile::Decode(meta_bytes.value(), &meta).ok());
-  EXPECT_EQ(meta.log_format, kTraceFormatV2);
+  const MetaFile meta = fx.ReadMeta();
+  EXPECT_EQ(meta.log_format, kTraceFormatV3);
   ASSERT_EQ(meta.intervals.size(), segs.size());
 
   auto reader = LogReader::Open(fx.dir.File("t0.log"));
@@ -545,82 +553,13 @@ TEST(WriterV2, RoundTripSegmentsAcrossFrameBoundaries) {
   FrameCache cache;
   for (size_t s = 0; s < segs.size(); s++) {
     const IntervalMeta& m = meta.intervals[s];
-    EXPECT_EQ(m.EventCount(), segs[s].size());
+    EXPECT_EQ(m.event_count, segs[s].size());
     std::vector<RawEvent> got;
     ASSERT_TRUE(reader.value()
                     .StreamRange(m.data_begin, m.data_size,
                                  [&](const RawEvent& e) { got.push_back(e); }, &cache)
                     .ok());
     EXPECT_EQ(got, segs[s]) << "segment " << s;
-  }
-}
-
-TEST(WriterV2, SameEventsBothFormatsDecodeIdentically) {
-  // Cross-version acceptance: v1 and v2 traces of the same execution must
-  // decode to identical event streams, with v2 at least 2x denser.
-  WriterFixture fx;
-  std::vector<RawEvent> logged;
-  Rng rng(4242);
-  for (int i = 0; i < 800; i++) {
-    logged.push_back(RawEvent::Access(0x20000 + rng.Below(1 << 16), 8,
-                                      rng.Chance(0.3) ? 1 : 0,
-                                      static_cast<uint32_t>(rng.Below(64))));
-  }
-  uint64_t logical[3] = {0, 0, 0};
-  for (uint8_t format : {kTraceFormatV1, kTraceFormatV2}) {
-    WriterConfig wc;
-    wc.log_path = fx.dir.File("f" + std::to_string(format) + ".log");
-    wc.meta_path = fx.dir.File("f" + std::to_string(format) + ".meta");
-    wc.buffer_bytes = 2048;
-    wc.flusher = &fx.flusher;
-    wc.format = format;
-    ThreadTraceWriter writer(0, wc);
-    writer.BeginSegment(fx.Meta());
-    for (const RawEvent& e : logged) writer.Append(e);
-    writer.EndSegment();
-    ASSERT_TRUE(writer.Finish().ok());
-    logical[format] = writer.logical_bytes();
-
-    auto reader = LogReader::Open(wc.log_path);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    std::vector<RawEvent> back;
-    ASSERT_TRUE(
-        reader.value().ReadRange(0, reader.value().total_logical_bytes(), &back).ok());
-    EXPECT_EQ(back, logged) << "format v" << int(format);
-  }
-  EXPECT_LE(logical[kTraceFormatV2] * 2, logical[kTraceFormatV1])
-      << "v2 should be at least 2x denser pre-compression";
-}
-
-TEST(ReaderV2, FuzzedMutationsNeverCrash) {
-  WriterFixture fx;
-  {
-    ThreadTraceWriter writer(0, fx.Config(512, kTraceFormatV2));
-    writer.BeginSegment(fx.Meta());
-    for (uint64_t i = 0; i < 300; i++) {
-      writer.Append(RawEvent::Access(0x1000 + i * 8, 8, 1, 7));
-    }
-    writer.EndSegment();
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  auto pristine = ReadFileBytes(fx.dir.File("t0.log"));
-  ASSERT_TRUE(pristine.ok());
-
-  Rng rng(2718);
-  for (int trial = 0; trial < 120; trial++) {
-    Bytes mutated = pristine.value();
-    const int flips = 1 + static_cast<int>(rng.Below(8));
-    for (int f = 0; f < flips; f++) {
-      mutated[rng.Below(mutated.size())] ^= static_cast<uint8_t>(1 + rng.Below(255));
-    }
-    if (rng.Chance(0.3)) mutated.resize(rng.Below(mutated.size() + 1));
-
-    const std::string path = fx.dir.File("fuzz2.log");
-    ASSERT_TRUE(WriteFile(path, mutated).ok());
-    auto reader = LogReader::Open(path);
-    if (!reader.ok()) continue;
-    std::vector<RawEvent> out;
-    (void)reader.value().ReadRange(0, reader.value().total_logical_bytes(), &out);
   }
 }
 
